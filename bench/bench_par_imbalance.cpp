@@ -1,12 +1,11 @@
 // Raw-speed sweep on the native backend: preprocessing order (natural vs
 // degree-sorted/RCM relabeling) x schedule (vertex-count vs edge-balanced
-// chunks, hub cooperation on/off) x SIMD level (scalar vs runtime-detected
-// AVX2 first-fit), on a power-law graph (RMAT) against a uniform-degree
-// control (Erdős–Rényi G(n,m) with matched vertex/edge counts). Reports
-// coloring wall time, reorder overhead, per-worker busy-time skew
-// (max/mean and CV), and the wall-clock ratio against the
-// natural-order/scalar/vertex-chunked/hub-off baseline (win_vs_base > 1
-// means the configuration colors faster).
+// chunks) x hub cooperation (on/off), on a power-law graph (RMAT) against
+// a uniform-degree control (Erdős–Rényi G(n,m) with matched vertex/edge
+// counts). Reports coloring wall time, reorder overhead, per-worker
+// busy-time skew (max/mean and CV), and the wall-clock ratio against the
+// natural-order/vertex-chunked/hub-off baseline (win_vs_base > 1 means
+// the configuration colors faster).
 //
 //   bench_par_imbalance [--scale S] [--seed N] [--threads N] [--repeats 3]
 //                       [--orders natural,degree-desc,rcm]
@@ -16,13 +15,13 @@
 // runs, plus the usual ASCII table. The uniform control is the null
 // experiment for the scheduling axis: with no skew to fix, every schedule
 // should tie, while on RMAT the edge-balanced + hub rows should cut the
-// skew. The order and simd axes can win on both graphs (locality and scan
-// throughput do not need skew).
+// skew. The order axis can win on both graphs (locality does not need
+// skew).
 #include <cmath>
-#include <fstream>
 #include <sstream>
 
 #include "bench_common.hpp"
+#include "bench_json.hpp"
 #include "check/check.hpp"
 #include "graph/gen/powerlaw.hpp"
 #include "graph/gen/random.hpp"
@@ -30,7 +29,6 @@
 #include "par/pool.hpp"
 #include "par/runner.hpp"
 #include "util/expect.hpp"
-#include "util/simd.hpp"
 
 namespace {
 
@@ -68,12 +66,6 @@ int main(int argc, char** argv) {
       parse_orders(cli.get("orders", "natural,degree-desc,rcm"));
   const std::string out_path = cli.get("out", "BENCH_par.json");
 
-  // SIMD sweep: always scalar, plus the detected level when it is better.
-  std::vector<simd::Level> levels = {simd::Level::kScalar};
-  if (simd::detect_level() != simd::Level::kScalar) {
-    levels.push_back(simd::detect_level());
-  }
-
   // Power-law graph and a uniform-degree control of matched size.
   const double s = env.suite.scale;
   const unsigned lg = static_cast<unsigned>(std::clamp(
@@ -95,16 +87,14 @@ int main(int argc, char** argv) {
 
   std::cout << "# threads: " << threads << ", repeats: " << repeats
             << ", rmat: 2^" << lg << " vertices, " << rmat.num_arcs() / 2
-            << " edges, simd: " << simd::level_name(simd::detect_level())
-            << '\n';
+            << " edges\n";
 
-  Table table({"graph", "algorithm", "order", "simd", "schedule", "hub",
-               "wall_ms", "reorder_ms", "busy_max_over_mean", "busy_cv",
-               "colors", "win_vs_base"});
-  table.title("order x schedule x simd vs the natural/scalar/vertex baseline");
+  Table table({"graph", "algorithm", "order", "schedule", "hub", "wall_ms",
+               "reorder_ms", "busy_max_over_mean", "busy_cv", "colors",
+               "win_vs_base"});
+  table.title("order x schedule x hub vs the natural/vertex/hub-off baseline");
 
-  std::ostringstream records;
-  bool first = true;
+  svc::JsonArray records;
   par::ThreadPool pool(threads);
   for (const auto& g : graphs) {
     // Generator bugs must not masquerade as scheduling wins.
@@ -116,77 +106,57 @@ int main(int argc, char** argv) {
     for (par::ParAlgorithm algo :
          {par::ParAlgorithm::kSpeculative, par::ParAlgorithm::kJpl}) {
       double base_ms = 0.0;
-      for (const simd::Level level : levels) {
-        simd::force_level_for_testing(level);
-        for (const Order order : orders) {
-          for (const Config& cfg : configs) {
-            par::ParOptions opts;
-            opts.seed = env.seed;
-            opts.order = order;
-            opts.schedule = cfg.schedule;
-            opts.hub_degree_threshold = cfg.hub_threshold;
+      for (const Order order : orders) {
+        for (const Config& cfg : configs) {
+          par::ParOptions opts;
+          opts.seed = env.seed;
+          opts.order = order;
+          opts.schedule = cfg.schedule;
+          opts.hub_degree_threshold = cfg.hub_threshold;
 
-            par::ParRun run;
-            for (int r = 0; r < repeats; ++r) {
-              par::ParRun attempt =
-                  par::run_par_coloring(pool, g.graph, algo, opts);
-              if (r == 0 || attempt.wall_ms < run.wall_ms) {
-                run = std::move(attempt);
-              }
+          par::ParRun run;
+          for (int r = 0; r < repeats; ++r) {
+            par::ParRun attempt =
+                par::run_par_coloring(pool, g.graph, algo, opts);
+            if (r == 0 || attempt.wall_ms < run.wall_ms) {
+              run = std::move(attempt);
             }
-            GCG_EXPECT(check::is_valid_coloring(g.graph, run.colors));
-            const bool is_base = level == levels.front() &&
-                                 order == Order::kNatural &&
-                                 &cfg == &configs[0];
-            if (is_base) base_ms = run.wall_ms;
-
-            table.add_row({g.name, par_algorithm_name(algo),
-                           order_name(order), simd::level_name(level),
-                           par::schedule_name(cfg.schedule), cfg.hub_name,
-                           run.wall_ms, run.reorder_ms,
-                           run.imbalance.cu_max_over_mean,
-                           run.imbalance.cu_cv,
-                           static_cast<std::int64_t>(run.num_colors),
-                           run.wall_ms > 0.0 ? base_ms / run.wall_ms : 1.0});
-
-            if (!first) records << ",\n";
-            first = false;
-            records << "    {\"graph\": \"" << g.name
-                    << "\", \"algorithm\": \"" << par_algorithm_name(algo)
-                    << "\", \"order\": \"" << order_name(order)
-                    << "\", \"simd\": \"" << simd::level_name(level)
-                    << "\",\n     \"schedule\": \""
-                    << par::schedule_name(cfg.schedule) << "\", \"hub\": \""
-                    << cfg.hub_name << "\", \"threads\": " << threads
-                    << ",\n     \"wall_ms\": " << run.wall_ms
-                    << ", \"reorder_ms\": " << run.reorder_ms
-                    << ", \"busy_max_over_mean\": "
-                    << run.imbalance.cu_max_over_mean
-                    << ", \"busy_cv\": " << run.imbalance.cu_cv
-                    << ",\n     \"colors\": " << run.num_colors
-                    << ", \"win_vs_base\": "
-                    << (run.wall_ms > 0.0 ? base_ms / run.wall_ms : 1.0)
-                    << "}";
           }
+          GCG_EXPECT(check::is_valid_coloring(g.graph, run.colors));
+          if (order == Order::kNatural && &cfg == &configs[0]) {
+            base_ms = run.wall_ms;
+          }
+          const double win = run.wall_ms > 0.0 ? base_ms / run.wall_ms : 1.0;
+
+          table.add_row({g.name, par_algorithm_name(algo), order_name(order),
+                         par::schedule_name(cfg.schedule), cfg.hub_name,
+                         run.wall_ms, run.reorder_ms,
+                         run.imbalance.cu_max_over_mean, run.imbalance.cu_cv,
+                         static_cast<std::int64_t>(run.num_colors), win});
+          records.push_back(svc::JsonObject{
+              {"graph", g.name},
+              {"algorithm", par_algorithm_name(algo)},
+              {"order", order_name(order)},
+              {"schedule", par::schedule_name(cfg.schedule)},
+              {"hub", cfg.hub_name},
+              {"threads", threads},
+              {"wall_ms", run.wall_ms},
+              {"reorder_ms", run.reorder_ms},
+              {"busy_max_over_mean", run.imbalance.cu_max_over_mean},
+              {"busy_cv", run.imbalance.cu_cv},
+              {"colors", run.num_colors},
+              {"win_vs_base", win}});
         }
       }
-      simd::clear_level_override_for_testing();
     }
   }
   table.print(std::cout);
 
-  std::ostringstream doc;
-  doc << "{\n  \"experiment\": \"par_imbalance\",\n  \"scale\": " << s
-      << ",\n  \"seed\": " << env.seed << ",\n  \"threads\": " << threads
-      << ",\n  \"repeats\": " << repeats << ",\n  \"simd_detected\": \""
-      << simd::level_name(simd::detect_level())
-      << "\",\n  \"records\": [\n" << records.str() << "\n  ]\n}\n";
-  if (!out_path.empty()) {
-    std::ofstream out(out_path);
-    out << doc.str();
-    std::cerr << "wrote " << out_path << '\n';
-  } else {
-    std::cout << doc.str();
-  }
-  return 0;
+  const svc::JsonObject doc{{"experiment", "par_imbalance"},
+                            {"scale", s},
+                            {"seed", env.seed},
+                            {"threads", threads},
+                            {"repeats", repeats},
+                            {"records", std::move(records)}};
+  return write_json_doc(doc, out_path) ? 0 : 1;
 }

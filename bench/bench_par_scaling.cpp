@@ -17,11 +17,11 @@
 // paper's hashed priorities instead (shorter dependency chains, more
 // colors on structured graphs).
 #include <algorithm>
-#include <fstream>
 #include <map>
 #include <sstream>
 
 #include "bench_common.hpp"
+#include "bench_json.hpp"
 #include "coloring/seq_greedy.hpp"
 #include "check/coloring.hpp"
 #include "par/pool.hpp"
@@ -80,8 +80,7 @@ int main(int argc, char** argv) {
                "worker_imbalance", "steal_hits", "colors", "seq_colors"});
   table.title("Native multicore scaling (speedup vs 1-thread par run)");
 
-  std::ostringstream records;
-  bool first = true;
+  svc::JsonArray records;
   for (const SuiteEntry& entry : load_graphs(env)) {
     const SeqColoring seq = greedy_color(entry.graph);
     for (par::ParAlgorithm algo : par::all_par_algorithms()) {
@@ -115,34 +114,26 @@ int main(int argc, char** argv) {
                        static_cast<std::int64_t>(run.num_colors),
                        static_cast<std::int64_t>(seq.num_colors)});
 
-        if (!first) records << ",\n";
-        first = false;
-        records << "    {\"graph\": \"" << entry.name
-                << "\", \"algorithm\": \"" << par_algorithm_name(algo)
-                << "\", \"threads\": " << t << ",\n     \"wall_ms\": " << best
-                << ", \"speedup\": " << speedup(base_ms, best)
-                << ", \"busy_max_over_mean\": "
-                << run.imbalance.cu_max_over_mean
-                << ",\n     \"steal_hits\": " << run.steal.steal_hits
-                << ", \"colors\": " << run.num_colors
-                << ", \"seq_colors\": " << seq.num_colors << "}";
+        records.push_back(svc::JsonObject{
+            {"graph", entry.name},
+            {"algorithm", par_algorithm_name(algo)},
+            {"threads", t},
+            {"wall_ms", best},
+            {"speedup", speedup(base_ms, best)},
+            {"busy_max_over_mean", run.imbalance.cu_max_over_mean},
+            {"steal_hits", run.steal.steal_hits},
+            {"colors", run.num_colors},
+            {"seq_colors", seq.num_colors}});
       }
     }
   }
   table.print(std::cout);
 
-  std::ostringstream doc;
-  doc << "{\n  \"experiment\": \"par_scaling\",\n  \"scale\": "
-      << env.suite.scale << ",\n  \"seed\": " << env.seed
-      << ",\n  \"repeats\": " << repeats << ",\n  \"priority\": \""
-      << priority_mode_name(priority) << "\",\n  \"records\": [\n"
-      << records.str() << "\n  ]\n}\n";
-  if (!out_path.empty()) {
-    std::ofstream out(out_path);
-    out << doc.str();
-    std::cerr << "wrote " << out_path << '\n';
-  } else {
-    std::cout << doc.str();
-  }
-  return 0;
+  const svc::JsonObject doc{{"experiment", "par_scaling"},
+                            {"scale", env.suite.scale},
+                            {"seed", env.seed},
+                            {"repeats", repeats},
+                            {"priority", priority_mode_name(priority)},
+                            {"records", std::move(records)}};
+  return write_json_doc(doc, out_path) ? 0 : 1;
 }

@@ -16,13 +16,13 @@
 // bench binaries do not sit next to shard_worker, and the protocol cost
 // is identical either way — only the address space differs.
 #include <cstdint>
-#include <fstream>
 #include <iostream>
 #include <sstream>
 #include <string>
 #include <vector>
 
 #include "bench_common.hpp"
+#include "bench_json.hpp"
 #include "check/check.hpp"
 #include "par/runner.hpp"
 #include "shard/coordinator.hpp"
@@ -73,8 +73,7 @@ int main(int argc, char** argv) {
            "recolored", "colors", "par colors", "wall ms", "par ms"});
   t.title("sharded coloring: shards x boundary fraction sweep");
 
-  std::ostringstream records;
-  bool first = true;
+  svc::JsonArray records;
   std::size_t pos = 0;
   while (pos <= graphs_csv.size()) {
     auto comma = graphs_csv.find(',', pos);
@@ -120,37 +119,31 @@ int main(int argc, char** argv) {
                  static_cast<std::int64_t>(base.num_colors), st.wall_ms,
                  base.wall_ms});
 
-      if (!first) records << ",\n";
-      first = false;
-      records << "    {\"graph\": \"" << name << "\", \"shards\": "
-              << st.shards << ", \"workers\": " << st.workers
-              << ",\n     \"boundary_fraction\": " << st.boundary_fraction
-              << ", \"boundary_vertices\": " << st.boundary_vertices
-              << ", \"cut_arcs\": " << st.cut_arcs
-              << ",\n     \"conflict_rounds\": " << st.conflict_rounds
-              << ", \"recolored\": " << st.recolored
-              << ", \"fallback_recolored\": " << st.fallback_recolored
-              << ",\n     \"colors\": " << st.num_colors
-              << ", \"par_colors\": " << base.num_colors
-              << ", \"phase1_ms\": " << st.phase1_ms
-              << ", \"wall_ms\": " << st.wall_ms
-              << ", \"par_wall_ms\": " << base.wall_ms << "}";
+      records.push_back(svc::JsonObject{
+          {"graph", name},
+          {"shards", st.shards},
+          {"workers", st.workers},
+          {"boundary_fraction", st.boundary_fraction},
+          {"boundary_vertices", st.boundary_vertices},
+          {"cut_arcs", st.cut_arcs},
+          {"conflict_rounds", st.conflict_rounds},
+          {"recolored", st.recolored},
+          {"fallback_recolored", st.fallback_recolored},
+          {"colors", st.num_colors},
+          {"par_colors", base.num_colors},
+          {"phase1_ms", st.phase1_ms},
+          {"wall_ms", st.wall_ms},
+          {"par_wall_ms", base.wall_ms}});
     }
   }
 
   t.print(std::cout);
 
-  std::ostringstream doc;
-  doc << "{\n  \"experiment\": \"shard\",\n  \"scale\": " << scale
-      << ",\n  \"seed\": " << seed << ",\n  \"workers\": " << workers
-      << ",\n  \"max_rounds\": " << rounds << ",\n  \"records\": [\n"
-      << records.str() << "\n  ]\n}\n";
-  if (!out_path.empty()) {
-    std::ofstream out(out_path);
-    out << doc.str();
-    std::cerr << "wrote " << out_path << '\n';
-  } else {
-    std::cout << doc.str();
-  }
-  return 0;
+  const svc::JsonObject doc{{"experiment", "shard"},
+                            {"scale", scale},
+                            {"seed", seed},
+                            {"workers", workers},
+                            {"max_rounds", rounds},
+                            {"records", std::move(records)}};
+  return write_json_doc(doc, out_path) ? 0 : 1;
 }

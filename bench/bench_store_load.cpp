@@ -17,13 +17,13 @@
 //   bench_store_load [--scale 0.4] [--seed 1] [--graph kron-like]
 //                    [--threads 2] [--repeats 3] [--out BENCH_store.json]
 #include <cstdint>
-#include <cstdio>
 #include <filesystem>
 #include <fstream>
 #include <iostream>
 #include <string>
 
 #include "bench_common.hpp"
+#include "bench_json.hpp"
 #include "graph/io/io.hpp"
 #include "par/runner.hpp"
 #include "store/mapped_graph.hpp"
@@ -111,43 +111,31 @@ int main(int argc, char** argv) {
     return best;
   }();
 
-  char buf[2048];
-  std::snprintf(
-      buf, sizeof buf,
-      "{\n"
-      "  \"experiment\": \"store_load\",\n"
-      "  \"graph\": {\"name\": \"%s\", \"scale\": %g, \"seed\": %llu,\n"
-      "            \"vertices\": %llu, \"arcs\": %llu},\n"
-      "  \"file_bytes\": {\"mtx\": %zu, \"v1\": %zu, \"v2\": %zu},\n"
-      "  \"load_ms\": {\n"
-      "    \"parse_mtx\": %.3f,\n"
-      "    \"v1_heap\": %.3f,\n"
-      "    \"v2_heap\": %.3f,\n"
-      "    \"v2_mmap_first_open\": %.4f,\n"
-      "    \"v2_mmap_second_open\": %.4f,\n"
-      "    \"v2_mmap_warmup\": %.3f\n"
-      "  },\n"
-      "  \"steady_state\": {\"algorithm\": \"jpl\", \"threads\": %u,\n"
-      "                   \"repeats\": %d, \"heap_color_ms\": %.3f,\n"
-      "                   \"mapped_color_ms\": %.3f},\n"
-      "  \"mapped\": %s,\n"
-      "  \"residency_after_warmup\": %.3f\n"
-      "}\n",
-      name.c_str(), scale, static_cast<unsigned long long>(seed),
-      static_cast<unsigned long long>(g.num_vertices()),
-      static_cast<unsigned long long>(g.num_arcs()), file_bytes(mtx),
-      file_bytes(v1), file_bytes(v2), parse_ms, v1_ms, v2_heap_ms,
-      mmap_first_ms, mmap_second_ms, warmup_ms, threads, repeats,
-      heap_color_ms, mapped_color_ms, mg->is_mapped() ? "true" : "false",
-      residency);
-
-  if (!out_path.empty()) {
-    std::ofstream out(out_path);
-    out << buf;
-    std::cerr << "wrote " << out_path << '\n';
-  }
-  std::cout << buf;
+  const svc::JsonObject doc{
+      {"experiment", "store_load"},
+      {"graph", svc::JsonObject{{"name", name},
+                                {"scale", scale},
+                                {"seed", seed},
+                                {"vertices", g.num_vertices()},
+                                {"arcs", g.num_arcs()}}},
+      {"file_bytes", svc::JsonObject{{"mtx", file_bytes(mtx)},
+                                     {"v1", file_bytes(v1)},
+                                     {"v2", file_bytes(v2)}}},
+      {"load_ms", svc::JsonObject{{"parse_mtx", parse_ms},
+                                  {"v1_heap", v1_ms},
+                                  {"v2_heap", v2_heap_ms},
+                                  {"v2_mmap_first_open", mmap_first_ms},
+                                  {"v2_mmap_second_open", mmap_second_ms},
+                                  {"v2_mmap_warmup", warmup_ms}}},
+      {"steady_state", svc::JsonObject{{"algorithm", "jpl"},
+                                       {"threads", threads},
+                                       {"repeats", repeats},
+                                       {"heap_color_ms", heap_color_ms},
+                                       {"mapped_color_ms", mapped_color_ms}}},
+      {"mapped", mg->is_mapped()},
+      {"residency_after_warmup", residency}};
+  const bool written = write_json_doc(doc, out_path);
 
   std::filesystem::remove_all(dir);
-  return 0;
+  return written ? 0 : 1;
 }

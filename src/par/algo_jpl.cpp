@@ -16,13 +16,9 @@ void run_jpl(DriverState& st) {
   if (n == 0) return;
   const SchedulePlan plan = make_plan(st.g, st.opts, st.pool.size());
   FrontierExec frontier(st, plan);
-  FirstTouchArray<std::uint8_t> wins(st.pool, n, std::uint8_t{0});
-  // Each worker constructs (first-touches) its own scratch so forbidden
-  // masks live on the worker's node; the barrier publishes the pointers.
-  std::vector<std::unique_ptr<FirstFitScratch>> scratch(st.pool.size());
-  st.pool.run([&](unsigned w) {
-    scratch[w] = std::make_unique<FirstFitScratch>(st.g.max_degree());
-  });
+  std::vector<std::uint8_t> wins(n, 0);
+  std::vector<FirstFitScratch> scratch(st.pool.size(),
+                                       FirstFitScratch(st.g.max_degree()));
   HubScratch hub_scratch(st.g.max_degree(), st.pool.size());
 
   while (frontier.active() > 0 && !cancel_requested(st)) {
@@ -55,8 +51,8 @@ void run_jpl(DriverState& st) {
     frontier.rebuild(
         [&](vid_t v, unsigned w) {
           if (!wins[v]) return true;
-          store_color(st.colors[v], scratch[w]->first_fit(st.g, st.colors.cspan(), v,
-                                                          st.stamp_hint(v)));
+          store_color(st.colors[v],
+                      scratch[w].first_fit(st.g, st.colors, v, st.stamp_hint(v)));
           return false;
         },
         [&](vid_t v) {

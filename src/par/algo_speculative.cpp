@@ -21,12 +21,8 @@ void run_speculative(DriverState& st) {
   if (n == 0) return;
   const SchedulePlan plan = make_plan(st.g, st.opts, st.pool.size());
   FrontierExec frontier(st, plan);
-  // Each worker constructs (first-touches) its own scratch so forbidden
-  // masks live on the worker's node; the barrier publishes the pointers.
-  std::vector<std::unique_ptr<FirstFitScratch>> scratch(st.pool.size());
-  st.pool.run([&](unsigned w) {
-    scratch[w] = std::make_unique<FirstFitScratch>(st.g.max_degree());
-  });
+  std::vector<FirstFitScratch> scratch(st.pool.size(),
+                                       FirstFitScratch(st.g.max_degree()));
   HubScratch hub_scratch(st.g.max_degree(), st.pool.size());
 
   while (frontier.active() > 0 && !cancel_requested(st)) {
@@ -38,8 +34,8 @@ void run_speculative(DriverState& st) {
     // one worker walking a giant neighbour list alone.
     frontier.phase(
         [&](vid_t v, unsigned w) {
-          store_color(st.colors[v], scratch[w]->first_fit(st.g, st.colors.cspan(), v,
-                                                          st.stamp_hint(v)));
+          store_color(st.colors[v],
+                      scratch[w].first_fit(st.g, st.colors, v, st.stamp_hint(v)));
         },
         [&](vid_t v) {
           store_color(st.colors[v], coop_first_fit(st, hub_scratch, v));

@@ -38,19 +38,12 @@ void run_steal(DriverState& st) {
   std::vector<vid_t> frontier(n);
   std::iota(frontier.begin(), frontier.end(), vid_t{0});
   std::vector<vid_t> next(n);
-  FirstTouchArray<std::uint8_t> flags(st.pool, n, std::uint8_t{0});
+  std::vector<std::uint8_t> flags(n, 0);
   std::uint32_t fsize = n;
 
   StealPool spool(workers);
-  // Same-node deques are preferred victims (never changes the coloring —
-  // flags are per-vertex and the commit phases are schedule-independent).
-  spool.set_worker_nodes(st.pool.worker_nodes());
-  // Each worker constructs (first-touches) its own scratch so forbidden
-  // masks live on the worker's node; the barrier publishes the pointers.
-  std::vector<std::unique_ptr<FirstFitScratch>> scratch(workers);
-  st.pool.run([&](unsigned w) {
-    scratch[w] = std::make_unique<FirstFitScratch>(st.g.max_degree());
-  });
+  std::vector<FirstFitScratch> scratch(workers,
+                                       FirstFitScratch(st.g.max_degree()));
   // Commit phases are barriered parallel_fors; the flag phase's imbalance
   // is handled by the deques, so the schedule/hub knobs don't apply here.
   const std::uint32_t grain = std::max(st.opts.grain, 1u);
@@ -107,7 +100,7 @@ void run_steal(DriverState& st) {
         const vid_t v = frontier[i];
         if (flags[v] & kFlagMax) {
           const color_t c =
-              scratch[w]->first_fit(st.g, st.colors.cspan(), v, st.stamp_hint(v));
+              scratch[w].first_fit(st.g, st.colors, v, st.stamp_hint(v));
           store_color(st.colors[v], c);
           wmax[w] = std::max(wmax[w], c + 1);
         }
@@ -130,8 +123,8 @@ void run_steal(DriverState& st) {
         if (flags[v] & kFlagMax) continue;
         color_t c;
         if (use_min && (flags[v] & kFlagMin) &&
-            (c = scratch[w]->first_fit(st.g, st.colors.cspan(), v,
-                                       st.stamp_hint(v))) < palette) {
+            (c = scratch[w].first_fit(st.g, st.colors, v,
+                                      st.stamp_hint(v))) < palette) {
           store_color(st.colors[v], c);
         } else {
           survivors.push_back(v);

@@ -9,12 +9,10 @@
 #include <vector>
 
 #include "par/detail/appender.hpp"
-#include "par/detail/arena.hpp"
 #include "par/pool.hpp"
 #include "par/runner.hpp"
 #include "util/narrow.hpp"
 #include "util/expect.hpp"
-#include "util/simd.hpp"
 
 namespace gcg::par::detail {
 
@@ -29,7 +27,7 @@ struct DriverState {
         opts(options),
         pool(p),
         prio(make_priorities(graph, options.priority, options.seed)),
-        colors(p, graph.num_vertices(), kUncolored) {
+        colors(graph.num_vertices(), kUncolored) {
     run.algorithm = algorithm;
     run.threads = pool.size();
     run.workers.resize(pool.size());
@@ -53,7 +51,7 @@ struct DriverState {
   const ParOptions& opts;
   ThreadPool& pool;
   std::vector<std::uint32_t> prio;
-  FirstTouchArray<color_t> colors;  ///< first-touched by the worker slices
+  std::vector<color_t> colors;
   std::vector<std::uint32_t> stamp_hints;
   ParRun run;
 };
@@ -83,8 +81,10 @@ inline void store_color(color_t& slot, color_t c) {
   std::atomic_ref<color_t>(slot).store(c, std::memory_order_relaxed);
 }
 
-/// Per-worker first-fit scratch. Two paths share one contract — return
-/// the smallest color unused by v's neighbours (read through load_color):
+/// Per-worker first-fit scratch, cache-line aligned so neighbouring
+/// workers' slots in a vector never share a line. Two paths share one
+/// contract — return the smallest color unused by v's neighbours (read
+/// through load_color):
 ///
 ///  * bitset: a forbidden-color mask at one bit per color, 64 colors per
 ///    word. A vertex of degree d has at most d forbidden colors, so only
@@ -99,11 +99,7 @@ inline void store_color(color_t& slot, color_t c) {
 ///    pathological high-color vertex recolored many times does not
 ///    rescan from word 0 each call. Allocated only when the graph can
 ///    need it.
-///
-/// The word scans go through the simd:: seam (AVX2 when the CPU has it,
-/// scalar otherwise); both levels return the identical first-zero word,
-/// so the chosen level can never change a coloring.
-struct FirstFitScratch {
+struct alignas(64) FirstFitScratch {
   /// Colors at or above this use the stamp fallback (degree >= cap).
   static constexpr std::size_t kBitsetColorCap = kFirstFitBitsetCap;
 
@@ -142,7 +138,7 @@ struct FirstFitScratch {
   color_t bitset_fit(const Csr& g, std::span<const color_t> colors, vid_t v,
                      std::size_t limit) {
     const std::size_t nw = (limit + 63) / 64;
-    simd::clear_words(words.data(), nw);
+    std::fill_n(words.begin(), nw, 0);
     for (vid_t u : g.neighbors(v)) {
       // kUncolored (-1) wraps to UINT32_MAX, so one compare rejects both
       // uncolored neighbours and colors too large to matter.
@@ -152,7 +148,8 @@ struct FirstFitScratch {
     }
     // A zero bit below `limit` always exists: at most limit-1 neighbours
     // marked bits among limit candidates.
-    const std::size_t k = simd::first_not_full_word(words.data(), nw);
+    std::size_t k = 0;
+    while (k < nw && words[k] == ~std::uint64_t{0}) ++k;
     GCG_ASSERT(k < nw);
     return narrow<color_t>(k * 64 + to_unsigned(std::countr_one(words[k])));
   }

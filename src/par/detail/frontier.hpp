@@ -18,7 +18,6 @@
 
 #include "par/detail/driver.hpp"
 #include "util/narrow.hpp"
-#include "util/simd.hpp"
 #include "util/sync.hpp"
 
 namespace gcg::par::detail {
@@ -58,15 +57,15 @@ struct HubScratch {
 /// scans slices of v's adjacency and ORs forbidden colors into its own
 /// mask stripe; the caller OR-reduces the stripes (commutative, so the
 /// merged mask — and the returned color — is independent of the slicing)
-/// and finds the first zero bit, both through the simd:: seam. Must be
-/// called outside any parallel region.
+/// and finds the first zero bit. Must be called outside any parallel
+/// region.
 inline color_t coop_first_fit(DriverState& st, HubScratch& hs, vid_t v) {
   const vid_t deg = st.g.degree(v);
   const std::size_t limit = std::size_t{deg} + 1;
   const std::size_t nw = (limit + 63) / 64;
   const unsigned workers = st.pool.size();
   for (unsigned w = 0; w < workers; ++w) {
-    simd::clear_words(hs.worker_mask(w), nw);
+    std::fill_n(hs.worker_mask(w), nw, 0);
   }
   const vid_t* nbrs = st.g.col_indices().data() + st.g.offset(v);
   st.pool.parallel_for(
@@ -83,10 +82,12 @@ inline color_t coop_first_fit(DriverState& st, HubScratch& hs, vid_t v) {
   // The pool barrier publishes every stripe before these plain reads.
   std::uint64_t* merged = hs.worker_mask(0);
   for (unsigned w = 1; w < workers; ++w) {
-    simd::or_words(merged, hs.worker_mask(w), nw);
+    const std::uint64_t* stripe = hs.worker_mask(w);
+    for (std::size_t k = 0; k < nw; ++k) merged[k] |= stripe[k];
   }
   // A zero bit below `limit` always exists (deg neighbours, deg+1 slots).
-  const std::size_t k = simd::first_not_full_word(merged, nw);
+  std::size_t k = 0;
+  while (k < nw && merged[k] == ~std::uint64_t{0}) ++k;
   GCG_ASSERT(k < nw);
   return narrow<color_t>(k * 64 + to_unsigned(std::countr_one(merged[k])));
 }
@@ -143,10 +144,7 @@ class FrontierExec {
     wsize_ = n - narrow<std::uint32_t>(hubs_.size());
     dense_ = wsize_ >= plan_.dense_min;
     if (dense_) {
-      // First-touched in worker slices: the stamp bitmap is the densest
-      // per-run array after colors and is scanned by the same contiguous
-      // vertex ranges the schedulers hand out.
-      stamps_ = FirstTouchArray<std::uint32_t>(st_.pool, n, round_);
+      stamps_.assign(n, round_);
       for (vid_t v : hubs_) stamps_[v] = 0;  // hubs never take the flat path
     } else {
       worklist_.reserve(wsize_);
@@ -314,7 +312,7 @@ class FrontierExec {
   SchedulePlan plan_;
   std::vector<vid_t> worklist_, next_;    ///< sparse mode (normals only)
   std::vector<std::uint64_t> prefix_;     ///< sparse degree prefix (size+1)
-  FirstTouchArray<std::uint32_t> stamps_;  ///< dense mode: active-iff ==round_
+  std::vector<std::uint32_t> stamps_;     ///< dense mode: active-iff ==round_
   std::vector<vid_t> hubs_, next_hubs_;   ///< active hubs, ascending
   std::uint32_t wsize_ = 0;               ///< active normal vertices
   std::uint32_t round_ = 1;               ///< stamp epoch

@@ -16,28 +16,6 @@ StealPool::StealPool(unsigned workers) {
   }
 }
 
-void StealPool::set_worker_nodes(const std::vector<unsigned>& nodes) {
-  node_aware_ = false;
-  local_victims_.clear();
-  remote_victims_.clear();
-  const unsigned n = workers();
-  if (nodes.size() != n || n < 2) return;
-  bool multi = false;
-  for (unsigned w = 1; w < n; ++w) multi |= nodes[w] != nodes[0];
-  if (!multi) return;  // single node: keep the flat victim space
-  local_victims_.resize(n);
-  remote_victims_.resize(n);
-  for (unsigned thief = 0; thief < n; ++thief) {
-    for (unsigned step = 1; step < n; ++step) {
-      const unsigned victim = (thief + step) % n;
-      (nodes[victim] == nodes[thief] ? local_victims_
-                                     : remote_victims_)[thief]
-          .push_back(victim);
-    }
-  }
-  node_aware_ = true;
-}
-
 void StealPool::fill(const std::vector<std::vector<Chunk>>& per_worker) {
   GCG_EXPECT(per_worker.size() == slots_.size());
   std::int64_t total = 0;
@@ -94,57 +72,12 @@ std::optional<Chunk> StealPool::try_victim(unsigned thief, unsigned victim) {
   return c;
 }
 
-std::optional<Chunk> StealPool::steal_from(
-    unsigned thief, VictimPolicy policy, Xoshiro256ss& rng,
-    const std::vector<unsigned>& victims) {
-  const auto n = narrow<unsigned>(victims.size());
-  if (n == 0) return std::nullopt;
-  switch (policy) {
-    case VictimPolicy::kRandom: {
-      for (unsigned tries = 0; tries < n; ++tries) {
-        const unsigned victim = victims[narrow<unsigned>(rng.bounded(n))];
-        if (auto c = try_victim(thief, victim)) return c;
-      }
-      return std::nullopt;
-    }
-    case VictimPolicy::kRichest: {
-      unsigned best = thief;
-      std::int64_t best_size = 0;
-      for (unsigned victim : victims) {
-        const std::int64_t s = slots_[victim]->deque.size_estimate();
-        if (s > best_size) {
-          best = victim;
-          best_size = s;
-        }
-      }
-      if (best == thief) return std::nullopt;
-      return try_victim(thief, best);
-    }
-    case VictimPolicy::kRing: {
-      // victims are already in ring order from the thief.
-      for (unsigned victim : victims) {
-        if (slots_[victim]->deque.size_estimate() == 0) continue;
-        if (auto c = try_victim(thief, victim)) return c;
-      }
-      return std::nullopt;
-    }
-  }
-  return std::nullopt;
-}
-
 std::optional<Chunk> StealPool::steal(unsigned thief, VictimPolicy policy,
                                       Xoshiro256ss& rng) {
   const unsigned n = workers();
   stress_point(thief);  // schedule-perturbation hook (no-op unless installed)
   ++slots_[thief]->stats.steal_attempts;
   if (n < 2) return std::nullopt;
-  if (node_aware_) {
-    // Node-local pass first; remote victims only when it comes up empty.
-    if (auto c = steal_from(thief, policy, rng, local_victims_[thief])) {
-      return c;
-    }
-    return steal_from(thief, policy, rng, remote_victims_[thief]);
-  }
   switch (policy) {
     case VictimPolicy::kRandom: {
       // A few uniform probes, like the simulated queues' bounded retry.

@@ -34,16 +34,6 @@ class StealPool {
 
   unsigned workers() const { return narrow<unsigned>(slots_.size()); }
 
-  /// Installs a NUMA node id per worker (ThreadPool::worker_nodes()).
-  /// With at least two distinct nodes present, every steal runs its
-  /// victim policy over the thief's same-node victims first and falls
-  /// back to the remote ones only when the local pass misses — stolen
-  /// chunks then mostly touch node-local frontier and color pages.
-  /// Victim *order* never affects what kSteal computes (flags are
-  /// per-vertex, commits are schedule-independent), only steal latency.
-  /// With fewer than two nodes (or never called) behavior is unchanged.
-  void set_worker_nodes(const std::vector<unsigned>& nodes);
-
   /// Owner pop from the bottom of `worker`'s own deque.
   std::optional<Chunk> pop_own(unsigned worker);
 
@@ -78,17 +68,8 @@ class StealPool {
     StealStats stats;
   };
   std::optional<Chunk> try_victim(unsigned thief, unsigned victim);
-  std::optional<Chunk> steal_from(unsigned thief, VictimPolicy policy,
-                                  Xoshiro256ss& rng,
-                                  const std::vector<unsigned>& victims);
 
   std::vector<std::unique_ptr<Slot>> slots_;
-  /// Per-thief victim lists in ring order from the thief, split into
-  /// same-node and remote; empty vectors unless set_worker_nodes() saw
-  /// at least two distinct nodes.
-  std::vector<std::vector<unsigned>> local_victims_;
-  std::vector<std::vector<unsigned>> remote_victims_;
-  bool node_aware_ = false;
   alignas(64) sync::atomic<std::int64_t> remaining_{0};
 };
 

@@ -1,11 +1,12 @@
 #include "util/log.hpp"
 
+#include <atomic>
 #include <cstdio>
 
 namespace gcg {
 
 namespace {
-LogLevel g_level = LogLevel::kWarn;
+std::atomic<LogLevel> g_level{LogLevel::kWarn};
 
 const char* level_name(LogLevel level) {
   switch (level) {
@@ -19,12 +20,18 @@ const char* level_name(LogLevel level) {
 }
 }  // namespace
 
-LogLevel log_level() { return g_level; }
-void set_log_level(LogLevel level) { g_level = level; }
+LogLevel log_level() {
+  // order: relaxed — the level is a standalone filter value; no other
+  // data is published through it.
+  return g_level.load(std::memory_order_relaxed);
+}
+void set_log_level(LogLevel level) {
+  // order: relaxed — see log_level().
+  g_level.store(level, std::memory_order_relaxed);
+}
 
 void log_message(LogLevel level, const std::string& msg) {
-  // lint: allow-next-line(raw-narrow) enum -> underlying int compare
-  if (static_cast<int>(level) < static_cast<int>(g_level)) return;
+  if (level < log_level()) return;
   std::fprintf(stderr, "[%s] %s\n", level_name(level), msg.c_str());
 }
 

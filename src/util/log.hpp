@@ -1,6 +1,6 @@
 // Leveled stderr logger. Quiet by default in benches; tests raise the level
-// when diagnosing failures. Not thread-safe by design: the simulator is
-// single-threaded (it *models* parallelism rather than using it).
+// when diagnosing failures. The level may be changed while other threads
+// log (service and shard-coordinator workers do).
 #pragma once
 
 #include <sstream>

@@ -109,55 +109,6 @@ TEST(StealPoolTest, EveryVictimPolicyDrains) {
   }
 }
 
-TEST(StealPoolTest, NodeAwareStealingDrainsUnderEveryPolicy) {
-  // Two fake nodes, two workers each: the split victim lists must still
-  // hand out every chunk exactly once under every policy.
-  for (VictimPolicy policy :
-       {VictimPolicy::kRandom, VictimPolicy::kRichest, VictimPolicy::kRing}) {
-    StealPool pool(4);
-    pool.set_worker_nodes({0, 0, 1, 1});
-    pool.fill(deal_round_robin(make_chunks(160, 10), 4));
-    Xoshiro256ss rng(5);
-    std::uint32_t got = 0;
-    while (!pool.drained()) {
-      if (pool.acquire(0, policy, rng)) ++got;
-    }
-    EXPECT_EQ(got, 16u) << victim_policy_name(policy);
-  }
-}
-
-TEST(StealPoolTest, NodeAwareRingStealsLocalVictimFirst) {
-  // Thief 0 shares node 0 with worker 1; workers 2 and 3 are remote. With
-  // both a local and a remote victim loaded, the ring policy must take
-  // the local one first and only then cross nodes.
-  StealPool pool(4);
-  pool.set_worker_nodes({0, 0, 1, 1});
-  const Chunk local{0, 10}, remote{10, 20};
-  pool.fill({{}, {local}, {remote}, {}});
-  Xoshiro256ss rng(3);
-  const auto first = pool.steal(0, VictimPolicy::kRing, rng);
-  ASSERT_TRUE(first.has_value());
-  EXPECT_EQ(*first, local);
-  const auto second = pool.steal(0, VictimPolicy::kRing, rng);
-  ASSERT_TRUE(second.has_value());
-  EXPECT_EQ(*second, remote);
-  EXPECT_TRUE(pool.drained());
-}
-
-TEST(StealPoolTest, SingleNodeAssignmentLeavesBehaviorUnchanged) {
-  // All workers on one node: set_worker_nodes must be a no-op (no split
-  // lists), so this is exactly the legacy drain.
-  StealPool pool(3);
-  pool.set_worker_nodes({0, 0, 0});
-  pool.fill(deal_round_robin(make_chunks(90, 10), 3));
-  Xoshiro256ss rng(9);
-  std::uint32_t got = 0;
-  while (!pool.drained()) {
-    if (pool.acquire(1, VictimPolicy::kRing, rng)) ++got;
-  }
-  EXPECT_EQ(got, 9u);
-}
-
 TEST(StealPoolTest, ConcurrentWorkersDeliverEveryChunkOnce) {
   constexpr unsigned kWorkers = 4;
   StealPool pool(kWorkers);

@@ -1,8 +1,8 @@
 // The reorder-aware pipeline in run_par_coloring: preprocessing orders
 // must come back unmapped to the caller's vertex ids (valid on the
-// ORIGINAL graph), JPL must stay bit-identical across thread counts and
-// SIMD levels within each order, and the pipeline must equal the obvious
-// two-step (reorder by hand, color, unmap by hand) computation.
+// ORIGINAL graph), JPL must stay bit-identical across thread counts
+// within each order, and the pipeline must equal the obvious two-step
+// (reorder by hand, color, unmap by hand) computation.
 #include <gtest/gtest.h>
 
 #include <vector>
@@ -12,23 +12,9 @@
 #include "graph/gen/random.hpp"
 #include "graph/reorder.hpp"
 #include "par/runner.hpp"
-#include "util/simd.hpp"
 
 namespace gcg {
 namespace {
-
-class SimdLevelGuard {
- public:
-  ~SimdLevelGuard() { simd::clear_level_override_for_testing(); }
-};
-
-std::vector<simd::Level> levels_to_test() {
-  std::vector<simd::Level> out = {simd::Level::kScalar};
-  if (simd::detect_level() != simd::Level::kScalar) {
-    out.push_back(simd::detect_level());
-  }
-  return out;
-}
 
 constexpr Order kOrders[] = {Order::kNatural, Order::kDegreeDescending,
                              Order::kRcm};
@@ -92,29 +78,21 @@ TEST(ReorderPipelineTest, PipelineEqualsManualReorderColorUnmap) {
 }
 
 TEST(ReorderPipelineTest, JplBitIdenticalAcrossThreadsAndSimdLevels) {
-  // Within one order, neither the thread count nor the SIMD level may
-  // change a single color: the vector first-fit is bit-identical to the
-  // scalar scan, and JPL is deterministic for any worker count.
-  SimdLevelGuard guard;
+  // Within one order the thread count may not change a single color: JPL
+  // is deterministic for any worker count.
   const Csr g = make_rmat(11, 8, {}, 99);
   for (Order order : kOrders) {
-    simd::force_level_for_testing(simd::Level::kScalar);
     const par::ParRun ref =
         par::run_par_coloring(g, par::ParAlgorithm::kJpl, opts_for(order, 1));
     ASSERT_TRUE(check::is_valid_coloring(g, ref.colors)) << order_name(order);
 
-    for (simd::Level level : levels_to_test()) {
-      simd::force_level_for_testing(level);
-      for (unsigned threads : {1u, 2u, 8u}) {
-        const par::ParRun run = par::run_par_coloring(
-            g, par::ParAlgorithm::kJpl, opts_for(order, threads));
-        EXPECT_EQ(run.colors, ref.colors)
-            << order_name(order) << "/" << simd::level_name(level) << "/"
-            << threads << "t";
-        EXPECT_EQ(run.iterations, ref.iterations)
-            << order_name(order) << "/" << simd::level_name(level) << "/"
-            << threads << "t";
-      }
+    for (unsigned threads : {1u, 2u, 8u}) {
+      const par::ParRun run = par::run_par_coloring(
+          g, par::ParAlgorithm::kJpl, opts_for(order, threads));
+      EXPECT_EQ(run.colors, ref.colors) << order_name(order) << "/" << threads
+                                        << "t";
+      EXPECT_EQ(run.iterations, ref.iterations)
+          << order_name(order) << "/" << threads << "t";
     }
   }
 }

@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <thread>
+#include <vector>
+
 namespace gcg {
 namespace {
 
@@ -51,6 +55,37 @@ TEST_F(LogTest, StreamsArbitraryTypes) {
   GCG_DEBUG << "int=" << 42 << " double=" << 3.5 << " bool=" << true;
   GCG_INFO << std::string("string payload");
   SUCCEED();
+}
+
+TEST_F(LogTest, LevelChangesWhileThreadsLog) {
+  // Service and shard-coordinator workers log while set_log_level may run;
+  // under TSan this catches the level regressing to a plain global. Debug
+  // is never enabled here, so nothing prints and nothing is evaluated.
+  constexpr int kLoggers = 4;
+  constexpr int kLevelChanges = 20000;
+  std::atomic<int> started{0};
+  std::atomic<bool> stop{false};
+  std::atomic<int> evaluations{0};
+  std::vector<std::thread> loggers;
+  for (int t = 0; t < kLoggers; ++t) {
+    loggers.emplace_back([&] {
+      started.fetch_add(1);
+      while (!stop.load()) {
+        GCG_DEBUG << [&] {
+          evaluations.fetch_add(1);
+          return "suppressed";
+        }();
+      }
+    });
+  }
+  while (started.load() < kLoggers) std::this_thread::yield();
+  for (int i = 0; i < kLevelChanges; ++i) {
+    set_log_level(i % 2 == 0 ? LogLevel::kError : LogLevel::kOff);
+  }
+  stop.store(true);
+  for (std::thread& t : loggers) t.join();
+  EXPECT_EQ(evaluations.load(), 0);
+  EXPECT_EQ(log_level(), LogLevel::kOff);  // the last change wins
 }
 
 }  // namespace

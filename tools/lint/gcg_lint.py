@@ -12,11 +12,9 @@ Rules (see docs/CORRECTNESS.md for the rationale):
                   shard::ChildProcess so every child is reaped exactly
                   once and signal dispositions stay consistent.
   raw-simd        no <immintrin.h>-family includes or _mm*/__m* vector
-                  intrinsics outside src/util/simd.* — SIMD must go
-                  through gcg::simd so runtime dispatch, the scalar
-                  fallback, and the GCG_FORCE_SCALAR escape hatch stay
-                  in one audited place (and every call site stays
-                  bit-identical to the scalar path by construction).
+                  intrinsics anywhere. There is no exempt home: vector
+                  code must arrive as a new reviewed seam, with a scalar
+                  fallback and a committed measurement that it wins.
   raw-mutex       no std::mutex/std::lock_guard/std::unique_lock/
                   std::condition_variable (or the unannotated lowercase
                   sync::mutex/sync::condition_variable aliases) in
@@ -142,7 +140,7 @@ PROC_SCOPE_OK = re.compile(r"(^|/)src/shard/process\.")
 PROC_MESSAGE = ("raw fork/exec outside src/shard/process.* — spawn through "
                 "shard::ChildProcess so children are reaped exactly once")
 
-# raw-simd: gcg::simd owns every vector intrinsic. Matches the intrinsic
+# raw-simd: vector intrinsics are banned tree-wide. Matches the intrinsic
 # headers (<immintrin.h> and friends, <arm_neon.h>), call-shaped _mm*/
 # _mm256*/_mm512* intrinsics, and the __m128/__m256/__m512 vector types.
 # The (?<![\w.:]) guard keeps identifiers like `my_mm256_add` quiet.
@@ -150,10 +148,9 @@ SIMD_TOKEN = re.compile(
     r"#\s*include\s*<(?:[a-z0-9_]*intrin|arm_neon|arm_sve)\.h>"
     r"|(?<![\w.:])_mm(?:256|512)?_\w+\s*\("
     r"|(?<!\w)__m(?:64|128|256|512)[a-z]*\b")
-SIMD_SCOPE_OK = re.compile(r"(^|/)src/util/simd\.")
-SIMD_MESSAGE = ("raw SIMD intrinsics outside src/util/simd.* — go through "
-                "gcg::simd so runtime dispatch, the scalar fallback, and "
-                "GCG_FORCE_SCALAR stay in one audited place")
+SIMD_MESSAGE = ("raw SIMD intrinsics — vector code needs a new reviewed "
+                "seam with a scalar fallback and a committed measurement "
+                "that it wins (docs/PAR_BACKEND.md)")
 
 # raw-mutex: the annotated directories must lock through the
 # capability-annotated wrappers. Matches the std:: lockables/guards AND
@@ -353,7 +350,6 @@ def lint_file(path, raw_text):
     in_seam_scope = bool(SEAM_SCOPE.search(path.replace(os.sep, "/")))
     in_store_scope = bool(MMAP_SCOPE_OK.search(path.replace(os.sep, "/")))
     in_process_scope = bool(PROC_SCOPE_OK.search(path.replace(os.sep, "/")))
-    in_simd_scope = bool(SIMD_SCOPE_OK.search(path.replace(os.sep, "/")))
     in_mutex_scope = bool(MUTEX_SCOPE.search(path.replace(os.sep, "/")))
     in_narrow_scope = (
         bool(NARROW_SCOPE.search(path.replace(os.sep, "/"))) and
@@ -374,8 +370,7 @@ def lint_file(path, raw_text):
         if (not in_process_scope and PROC_RULE not in here
                 and PROC_TOKEN.search(code)):
             findings.append(Finding(path, idx, PROC_RULE, PROC_MESSAGE))
-        if (not in_simd_scope and SIMD_RULE not in here
-                and SIMD_TOKEN.search(code)):
+        if SIMD_RULE not in here and SIMD_TOKEN.search(code):
             findings.append(Finding(path, idx, SIMD_RULE, SIMD_MESSAGE))
         if (in_mutex_scope and MUTEX_RULE not in here
                 and MUTEX_TOKEN.search(code)):
@@ -689,8 +684,7 @@ SELF_TEST_CASES = [
      "int f() { return fork(); }"
      "  // lint: allow(raw-process) daemonizing before the fleet exists\n",
      set()),
-    # raw-simd: everywhere EXCEPT src/util/simd.* — the case name is the
-    # path the scope check sees.
+    # raw-simd: everywhere, with no exempt path.
     ("src/par/raw_simd_include",
      "#include <immintrin.h>\nint x;\n",
      {"raw-simd"}),
@@ -701,14 +695,11 @@ SELF_TEST_CASES = [
     ("src/svc/raw_simd_sse",
      "void f() { _mm_pause(); }\n",
      {"raw-simd"}),
-    ("src/util/simd",  # lint_file sees "src/util/simd.cpp"
+    ("src/par/simd",  # no path is exempt, not even a simd.* file
      "#include <immintrin.h>\n"
      "long f(const long long* p) "
      "{ return _mm256_movemask_pd(_mm256_castsi256_pd("
      "_mm256_loadu_si256((const __m256i*)p))); }\n",
-     set()),
-    ("src/util/simd_helpers_not_exempt",  # "simd_helpers.cpp" != "simd.*"
-     "#include <immintrin.h>\nint x;\n",
      {"raw-simd"}),
     ("src/graph/simd_named_fn_ok",
      "int x_mm256_add_epi64(int);\n"
