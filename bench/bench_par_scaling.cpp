@@ -1,7 +1,7 @@
 // Native-backend scaling: every par algorithm on every suite graph at
 // thread counts 1..hardware_concurrency (powers of two plus the max),
 // reporting wall time, speedup over the 1-thread par run, busy-time
-// imbalance, steal traffic, and color-count parity against seq_greedy.
+// imbalance, and color-count parity against seq_greedy.
 //
 //   bench_par_scaling [--scale S] [--seed N] [--graphs a,b,c]
 //                     [--threads 1,2,4,8] [--repeats 3]
@@ -77,7 +77,7 @@ int main(int argc, char** argv) {
             << "\n# priority: " << priority_mode_name(priority) << "\n";
 
   Table table({"graph", "algorithm", "threads", "wall_ms", "speedup",
-               "worker_imbalance", "steal_hits", "colors", "seq_colors"});
+               "worker_imbalance", "colors", "seq_colors"});
   table.title("Native multicore scaling (speedup vs 1-thread par run)");
 
   svc::JsonArray records;
@@ -110,7 +110,6 @@ int main(int argc, char** argv) {
                        static_cast<std::int64_t>(t), best,
                        speedup(base_ms, best),
                        run.imbalance.cu_max_over_mean,
-                       static_cast<std::int64_t>(run.steal.steal_hits),
                        static_cast<std::int64_t>(run.num_colors),
                        static_cast<std::int64_t>(seq.num_colors)});
 
@@ -121,7 +120,6 @@ int main(int argc, char** argv) {
             {"wall_ms", best},
             {"speedup", speedup(base_ms, best)},
             {"busy_max_over_mean", run.imbalance.cu_max_over_mean},
-            {"steal_hits", run.steal.steal_hits},
             {"colors", run.num_colors},
             {"seq_colors", seq.num_colors}});
       }

@@ -8,7 +8,7 @@
 //   bench_svc_throughput [--scale S] [--seed N] [--graphs a,b,c]
 //                        [--clients 1,2,4,8,16] [--jobs-per-client 20]
 //                        [--dispatchers 2] [--threads-per-job 2]
-//                        [--queue 256] [--algorithm steal]
+//                        [--queue 256] [--algorithm jpl]
 #include <algorithm>
 #include <atomic>
 #include <sstream>
@@ -57,7 +57,7 @@ int main(int argc, char** argv) {
   const auto sweep = client_sweep(cli);
   const int jobs_per_client =
       static_cast<int>(cli.get_int("jobs-per-client", 20));
-  const std::string algorithm = cli.get("algorithm", "steal");
+  const std::string algorithm = cli.get("algorithm", svc::kDefaultParAlgorithm);
 
   svc::ServerOptions sopts;
   sopts.socket_path = "/tmp/gcg_bench_svc.sock";

@@ -1,7 +1,7 @@
 // Command-line client for color_server. One verb per invocation:
 //
 //   color_client submit <graph-spec> [--socket S] [--backend par|sim]
-//                [--algorithm steal] [--priority random] [--seed 1]
+//                [--algorithm jpl] [--priority random] [--seed 1]
 //                [--threads 0] [--deadline-ms 0] [--wait]
 //                [--count N] [--concurrency C]     (mini load generator)
 //   color_client status <id> | result <id> | cancel <id>
@@ -43,10 +43,10 @@ gcg::svc::JobSpec spec_from_cli(const gcg::Cli& cli,
   gcg::svc::JobSpec spec;
   spec.graph = graph;
   spec.backend = gcg::svc::backend_from_name(cli.get("backend", "par"));
-  spec.algorithm = cli.get(
-      "algorithm", spec.backend == gcg::svc::Backend::kPar     ? "steal"
-                   : spec.backend == gcg::svc::Backend::kShard ? "jpl"
-                                                               : "hybrid+steal");
+  spec.algorithm = cli.get("algorithm",
+                           spec.backend == gcg::svc::Backend::kSim
+                               ? "hybrid+steal"
+                               : gcg::svc::kDefaultParAlgorithm);
   spec.priority = cli.get("priority", "random");
   spec.seed = static_cast<std::uint64_t>(cli.get_int("seed", 1));
   spec.threads = static_cast<unsigned>(cli.get_int("threads", 0));

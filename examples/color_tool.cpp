@@ -85,7 +85,7 @@ int run_sim(const gcg::Cli& cli, const gcg::Csr& g) {
 int run_par(const gcg::Cli& cli, const gcg::Csr& g) {
   using namespace gcg;
   const par::ParAlgorithm algo =
-      par::par_algorithm_from_name(cli.get("algorithm", "steal"));
+      par::par_algorithm_from_name(cli.get("algorithm", "jpl"));
   par::ParOptions opts;
   opts.seed = static_cast<std::uint64_t>(cli.get_int("seed", 1));
   opts.threads = static_cast<unsigned>(cli.get_int("threads", 0));
@@ -119,11 +119,6 @@ int run_par(const gcg::Cli& cli, const gcg::Csr& g) {
             << " max/mean worker busy\n"
             << "parallelism: " << q.mean_parallelism
             << " vertices/color class (mean)\n";
-  if (run.steal.steal_attempts > 0) {
-    std::cout << "steals:      " << run.steal.steal_hits << '/'
-              << run.steal.steal_attempts << " hits ("
-              << run.steal.chunks_stolen << " chunks)\n";
-  }
   write_colors(cli, run.colors);
   return 0;
 }

@@ -1,7 +1,7 @@
 // Seeded schedule-perturbation harness. While an instance is alive, the
-// native pools (par::ThreadPool, par::StealPool) call back into it at
-// every chunk boundary and it injects randomized yields and short spin
-// delays. The decision stream is a stateless counter hash of
+// native pool (par::ThreadPool) calls back into it at every chunk
+// boundary and it injects randomized yields and short spin delays. The
+// decision stream is a stateless counter hash of
 // (seed, worker, per-worker counter), so a given (seed, thread-count)
 // pair perturbs the same chunk boundaries on every run — TSan jobs and
 // parity tests explore far more interleavings than an unperturbed run,

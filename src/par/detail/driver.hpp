@@ -220,6 +220,5 @@ using FrontierAppender = BasicFrontierAppender<vid_t>;
 
 void run_speculative(DriverState& st);
 void run_jpl(DriverState& st);
-void run_steal(DriverState& st);
 
 }  // namespace gcg::par::detail

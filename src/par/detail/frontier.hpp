@@ -1,7 +1,7 @@
-// Degree-aware frontier execution for the vertex-parallel algorithms
-// (speculative, jpl): edge-balanced or vertex-count chunking off the
-// ParOptions schedule, a cooperative whole-team path for hub vertices,
-// and an adaptive dense/sparse frontier representation. Internal header.
+// Degree-aware frontier execution for the speculative coloring:
+// edge-balanced or vertex-count chunking off the ParOptions schedule, a
+// cooperative whole-team path for hub vertices, and an adaptive
+// dense/sparse frontier representation. Internal header.
 //
 // Determinism contract: none of the machinery here may change what an
 // algorithm computes, only how the work is divided. The frontier switches

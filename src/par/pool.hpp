@@ -34,7 +34,7 @@ class ThreadPool {
 
   /// Chunked parallel-for over [0, n): workers grab `grain`-sized ranges
   /// from a shared cursor until the range is exhausted (self-balancing for
-  /// mildly irregular work; use StealPool for heavy-tailed work).
+  /// mildly irregular work; parallel_for_edges below cuts by weight).
   /// body(begin, end, worker).
   void parallel_for(std::uint32_t n, std::uint32_t grain,
                     const std::function<void(std::uint32_t, std::uint32_t,

@@ -12,7 +12,6 @@ const char* par_algorithm_name(ParAlgorithm a) {
   switch (a) {
     case ParAlgorithm::kSpeculative: return "speculative";
     case ParAlgorithm::kJpl: return "jpl";
-    case ParAlgorithm::kSteal: return "steal";
   }
   return "?";
 }
@@ -25,7 +24,7 @@ ParAlgorithm par_algorithm_from_name(const std::string& name) {
 }
 
 std::vector<ParAlgorithm> all_par_algorithms() {
-  return {ParAlgorithm::kSpeculative, ParAlgorithm::kJpl, ParAlgorithm::kSteal};
+  return {ParAlgorithm::kSpeculative, ParAlgorithm::kJpl};
 }
 
 const char* schedule_name(Schedule s) {
@@ -55,9 +54,6 @@ ParRun run_here(ThreadPool& pool, const Csr& g, ParAlgorithm algorithm,
       break;
     case ParAlgorithm::kJpl:
       detail::run_jpl(st);
-      break;
-    case ParAlgorithm::kSteal:
-      detail::run_steal(st);
       break;
   }
   const auto t1 = std::chrono::steady_clock::now();

@@ -1,7 +1,7 @@
 // Public entry point for the native multicore backend: pick a parallel
-// algorithm, get a colored graph plus real wall-clock timing, per-worker
-// busy times, and steal statistics. The counterpart of coloring/runner.hpp
-// for runs on actual hardware threads instead of the simulated GPU.
+// algorithm, get a colored graph plus real wall-clock timing and
+// per-worker busy times. The counterpart of coloring/runner.hpp for runs
+// on actual hardware threads instead of the simulated GPU.
 #pragma once
 
 #include <cstdint>
@@ -14,7 +14,6 @@
 #include "graph/csr.hpp"
 #include "graph/reorder.hpp"
 #include "metrics/imbalance.hpp"
-#include "sched/steal_queues.hpp"  // VictimPolicy, StealStats
 
 namespace gcg::par {
 
@@ -23,21 +22,17 @@ class ThreadPool;
 enum class ParAlgorithm {
   kSpeculative,  ///< speculative greedy + iterative conflict resolution
                  ///< (Gebremedhin–Manne); 1 thread == seq first-fit greedy
-  kJpl,          ///< parallel Jones–Plassmann–Luby: priority-maximal
-                 ///< independent sets, first-fit commit. Deterministic for
-                 ///< a fixed seed at any thread count.
-  kSteal,        ///< worklist max-min on per-worker Chase–Lev deques with
-                 ///< work stealing — the native mirror of Algorithm::kSteal.
+  kJpl,          ///< Jones–Plassmann on a dependency-counter worklist:
+                 ///< sequential first-fit in descending priority order.
+                 ///< Deterministic for a fixed seed at any thread count.
 };
 
 const char* par_algorithm_name(ParAlgorithm a);
 ParAlgorithm par_algorithm_from_name(const std::string& name);
 std::vector<ParAlgorithm> all_par_algorithms();
 
-/// How the vertex-parallel phases of speculative/jpl divide a frontier
-/// among workers. (kSteal divides its flag phase with work-stealing
-/// deques instead; the schedule still governs its barriered commit
-/// phases' grain.)
+/// How the vertex-parallel phases of speculative divide a frontier among
+/// workers. (jpl cuts each round's ready list into chunks of its own.)
 enum class Schedule {
   kVertexChunks,  ///< fixed vertex-count chunks off a shared cursor — the
                   ///< paper's baseline, degree-oblivious partitioning
@@ -66,7 +61,7 @@ struct ParOptions {
   /// stays deterministic for a fixed (order, seed, algorithm).
   Order order = Order::kNatural;
 
-  // --- scheduling of the vertex-parallel phases (speculative / jpl) ---
+  // --- scheduling of the vertex-parallel phases (speculative only) ---
   /// Frontier partitioning policy. kEdgeBalanced keeps the chunk *count*
   /// of kVertexChunks but moves the boundaries so every chunk carries a
   /// comparable number of edges — the load-imbalance fix for skewed
@@ -80,15 +75,8 @@ struct ParOptions {
   /// thresholding: one hub's neighbour list is scanned in slices by all
   /// workers with a shared reduction). 0 = auto, scaled from the average
   /// degree; any value >= num_vertices disables the hub path. Ignored on
-  /// 1 thread (cooperation needs a team) and by kSteal (its deques
-  /// already rebalance). Never changes the jpl coloring.
+  /// 1 thread (cooperation needs a team).
   std::uint32_t hub_degree_threshold = 0;
-
-  // kSteal only: frontier items per deque chunk and victim selection.
-  // (chunk_size sizes the *deque* chunks of the stealing flag phase;
-  // `grain` above sizes the barriered commit phases.)
-  std::uint32_t chunk_size = 256;
-  VictimPolicy victim = VictimPolicy::kRandom;
 
   /// Cooperative cancellation: polled by worker 0 between iterations
   /// (never mid-phase, so the color array stays phase-consistent). When it
@@ -101,9 +89,7 @@ struct ParOptions {
 /// What one worker did across the whole run.
 struct ParWorkerStats {
   double busy_ms = 0.0;          ///< time inside vertex-processing loops
-  std::uint64_t chunks = 0;      ///< deque chunks processed (kSteal)
   std::uint64_t vertices = 0;    ///< frontier vertices scanned
-  StealStats steal;              ///< this worker as thief (kSteal)
 };
 
 struct ParRun {
@@ -125,7 +111,6 @@ struct ParRun {
   /// list); 0 when the hub path was disabled or never triggered.
   std::uint64_t hub_vertices = 0;
   std::vector<ParWorkerStats> workers;
-  StealStats steal;              ///< aggregate across workers (kSteal)
   /// Busy-time skew across workers (cu_* fields read "per worker", and
   /// the *_cycles fields carry milliseconds for this backend).
   ImbalanceReport imbalance;

@@ -17,6 +17,11 @@
 
 namespace gcg::svc {
 
+/// Algorithm a par or shard job runs when the request names none: jpl,
+/// the deterministic one, so a served coloring is bit-stable across
+/// thread and worker counts.
+inline constexpr const char* kDefaultParAlgorithm = "jpl";
+
 /// Which execution backend colors the graph.
 enum class Backend {
   kPar,    ///< native multicore (par::run_par_coloring) — the serving path
@@ -30,7 +35,7 @@ Backend backend_from_name(const std::string& name);
 struct JobSpec {
   std::string graph;            ///< registry spec: path or gen:name?...
   Backend backend = Backend::kPar;
-  std::string algorithm = "steal";  ///< backend-specific algorithm name
+  std::string algorithm = kDefaultParAlgorithm;  ///< per-backend name
   std::string priority = "random";  ///< PriorityMode name
   std::uint64_t seed = 1;
   unsigned threads = 0;         ///< par only: 0 = scheduler's per-job pool

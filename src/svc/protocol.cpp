@@ -180,14 +180,12 @@ JobSpec job_spec_from_json(const Json& req) {
   }
   spec.graph = graph->as_string();
   spec.backend = backend_from_name(req.get_string("backend", "par"));
-  // Per-backend algorithm defaults: shard wants jpl because it is
-  // deterministic — sharded results must be bit-stable across worker
-  // counts (docs/SHARDING.md).
-  const char* default_algorithm =
-      spec.backend == Backend::kPar
-          ? "steal"
-          : (spec.backend == Backend::kShard ? "jpl" : "hybrid+steal");
-  spec.algorithm = req.get_string("algorithm", default_algorithm);
+  // par and shard share the deterministic default (sharded results must
+  // be bit-stable across worker counts, docs/SHARDING.md); sim defaults
+  // to the paper's hybrid with stealing.
+  spec.algorithm = req.get_string(
+      "algorithm",
+      spec.backend == Backend::kSim ? "hybrid+steal" : kDefaultParAlgorithm);
   spec.priority = req.get_string("priority", "random");
   const std::int64_t seed = req.get_int("seed", 1);
   if (seed < 0) throw std::runtime_error("\"seed\" must be >= 0");

@@ -1,7 +1,7 @@
-// Global stress-hook point for schedule perturbation. The concurrent
-// backends (par::ThreadPool, par::StealPool) call gcg::stress_point() at
-// every chunk boundary; in production the hook is null and the call is a
-// single relaxed-ish atomic load plus an untaken branch. Test harnesses
+// Global stress-hook point for schedule perturbation. The native pool
+// (par::ThreadPool) calls gcg::stress_point() at every chunk boundary; in
+// production the hook is null and the call is a single relaxed-ish
+// atomic load plus an untaken branch. Test harnesses
 // (check::StressSchedule) install a hook that injects deterministic,
 // seeded yields/delays so sanitizers and parity tests explore far more
 // interleavings than the OS scheduler would produce on its own.

@@ -4,11 +4,10 @@
 // static_asserts in tests/par/test_sync_seam.cpp — so the seam costs
 // nothing. When a TU is compiled with GCG_MC_MODEL defined (the tests/mc/
 // models), the same names resolve to the mc:: modeled primitives instead,
-// so the exact production templates (WorkStealingDeque,
-// BasicFrontierAppender, BasicJobQueue, ...) run under the model checker
-// with no forked copies. tools/lint/gcg_lint.py (rule `sync-seam`) bans
-// direct std::atomic use in the migrated directories to keep the seam
-// airtight.
+// so the exact production templates (BasicFrontierAppender,
+// BasicJobQueue, ...) run under the model checker with no forked copies.
+// tools/lint/gcg_lint.py (rule `sync-seam`) bans direct std::atomic use
+// in the migrated directories to keep the seam airtight.
 //
 // The aliases live in mode-specific *inline namespaces* so that any
 // function compiled against the seam mangles differently in the two

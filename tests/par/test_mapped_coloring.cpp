@@ -88,14 +88,6 @@ TEST(MappedColoring, SpeculativeValidOnMappedViewMultiThread) {
   EXPECT_TRUE(check::is_valid_coloring(fx.heap, run.colors));
 }
 
-TEST(MappedColoring, StealValidOnMappedView) {
-  const Fixture fx = make_fixture("steal4");
-  const par::ParRun run = par::run_par_coloring(
-      fx.mapped(), par::ParAlgorithm::kSteal, opts_for(4));
-  EXPECT_GT(run.num_colors, 0);
-  EXPECT_TRUE(check::is_valid_coloring(fx.heap, run.colors));
-}
-
 TEST(MappedColoring, WarmupOnPoolThenColor) {
   // Parallel page-touch warmup must not disturb results (it only reads).
   const Fixture fx = make_fixture("warm");

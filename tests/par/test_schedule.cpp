@@ -1,8 +1,8 @@
 // Degree-aware scheduling tests: the edge-balanced partitioner, the hub
 // cooperation path, and the bitset first-fit scratch must not change any
 // observable coloring — JPL stays bit-identical across thread counts,
-// schedules, and hub settings, and the speculative/steal algorithms stay
-// valid and complete on skewed degree distributions.
+// schedules, and hub settings, and every par algorithm stays valid and
+// complete on skewed degree distributions.
 #include <gtest/gtest.h>
 
 #include <random>
@@ -142,19 +142,23 @@ INSTANTIATE_TEST_SUITE_P(AllParAlgorithms, ScheduleValidityTest,
 // --- hub engagement ----------------------------------------------------------
 
 TEST(ScheduleHubTest, HubPathEngagesAndMatchesHubOffColoring) {
-  // A star's center dwarfs the threshold, so the cooperative path must
-  // actually run (run.hub_vertices counts hub phase visits) — and, for
-  // JPL, produce exactly the coloring of the hub-off run.
+  // A star's center dwarfs the threshold, so speculative's cooperative
+  // path must actually run (run.hub_vertices counts hub phase visits).
+  // JPL has no hub path, so the threshold must not change its coloring.
   const Csr g = make_star(20'000);
   Combo on{4u, par::Schedule::kEdgeBalanced, kHubOn};
   Combo off{4u, par::Schedule::kEdgeBalanced, kHubOff};
   const par::ParRun hub =
-      par::run_par_coloring(g, par::ParAlgorithm::kJpl, opts_for(on));
+      par::run_par_coloring(g, par::ParAlgorithm::kSpeculative, opts_for(on));
   const par::ParRun flat =
-      par::run_par_coloring(g, par::ParAlgorithm::kJpl, opts_for(off));
+      par::run_par_coloring(g, par::ParAlgorithm::kSpeculative, opts_for(off));
   EXPECT_GT(hub.hub_vertices, 0u);
   EXPECT_EQ(flat.hub_vertices, 0u);
-  EXPECT_EQ(hub.colors, flat.colors);
+  EXPECT_TRUE(check::is_valid_coloring(g, hub.colors));
+  EXPECT_EQ(par::run_par_coloring(g, par::ParAlgorithm::kJpl, opts_for(on))
+                .colors,
+            par::run_par_coloring(g, par::ParAlgorithm::kJpl, opts_for(off))
+                .colors);
 }
 
 TEST(ScheduleHubTest, HubPathStaysOffOnOneThread) {

@@ -22,7 +22,7 @@ SchedulerOptions small_opts() {
   return opts;
 }
 
-JobSpec par_job(const std::string& graph, const std::string& algo = "steal") {
+JobSpec par_job(const std::string& graph, const std::string& algo = "jpl") {
   JobSpec spec;
   spec.graph = graph;
   spec.algorithm = algo;
@@ -46,7 +46,7 @@ TEST(Scheduler, RunsOneJobToCompletion) {
 TEST(Scheduler, AllParAlgorithmsAndPriorities) {
   Scheduler sched(small_opts());
   std::vector<std::uint64_t> ids;
-  for (const char* algo : {"speculative", "jpl", "steal"}) {
+  for (const char* algo : {"speculative", "jpl"}) {
     for (const char* prio : {"random", "degree-biased", "natural"}) {
       JobSpec spec = par_job(kTiny, algo);
       spec.priority = prio;

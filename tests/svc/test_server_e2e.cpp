@@ -32,7 +32,7 @@ constexpr const char* kGraphs[] = {
     "gen:kron-like?scale=0.02&seed=1",
     "gen:road-like?scale=0.02&seed=1",
 };
-constexpr const char* kAlgorithms[] = {"speculative", "jpl", "steal"};
+constexpr const char* kAlgorithms[] = {"speculative", "jpl"};
 
 std::string unique_socket_path(const char* tag) {
   // Keep it short: sockaddr_un caps paths at ~107 bytes.
@@ -102,7 +102,7 @@ TEST(ServerE2E, ConcurrentMixedLoadAllColoringsValid) {
       for (int j = 0; j < kJobsPerClient; ++j) {
         JobSpec spec;
         spec.graph = kGraphs[(c + j) % 3];
-        spec.algorithm = kAlgorithms[j % 3];
+        spec.algorithm = kAlgorithms[j % 2];
         spec.seed = static_cast<std::uint64_t>(c * 100 + j + 1);
         spec.keep_colors = true;
         const Json reply = client.submit(spec, /*wait=*/true);
@@ -206,6 +206,37 @@ TEST(ServerE2E, StatusCancelAndErrorVerbs) {
     reply = client.request(bad_submit);
     EXPECT_EQ(reply.get_string("error", ""), kErrBadRequest) << bad_graph;
     EXPECT_TRUE(client.ping()) << bad_graph;
+  }
+  server.stop();
+}
+
+TEST(ServerE2E, DefaultAlgorithmIsJplAndStealIsUnknown) {
+  Server server(small_server(unique_socket_path("algo")));
+  Client client(server.socket_path());
+
+  // A submit that names no algorithm runs the deterministic default.
+  Json submit{JsonObject{}};
+  submit["op"] = Json(std::string("submit"));
+  submit["graph"] = Json(std::string(kGraphs[1]));
+  submit["wait"] = Json(true);
+  Json reply = client.request(submit);
+  ASSERT_TRUE(reply.get_bool("ok", false)) << reply.dump();
+  EXPECT_EQ(reply.get_string("status", ""), "done");
+  EXPECT_EQ(reply.get_string("algorithm", ""), "jpl");
+
+  // The par and shard backends run par kernels, and "steal" is not one.
+  for (const char* backend : {"par", "shard"}) {
+    Json bad{JsonObject{}};
+    bad["op"] = Json(std::string("submit"));
+    bad["graph"] = Json(std::string(kGraphs[1]));
+    bad["backend"] = Json(std::string(backend));
+    bad["algorithm"] = Json(std::string("steal"));
+    reply = client.request(bad);
+    EXPECT_EQ(reply.get_string("error", ""), kErrBadRequest) << backend;
+    EXPECT_NE(reply.get_string("detail", "").find("unknown par algorithm"),
+              std::string::npos)
+        << backend << ": " << reply.dump();
+    EXPECT_TRUE(client.ping()) << backend;
   }
   server.stop();
 }

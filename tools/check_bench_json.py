@@ -29,7 +29,7 @@ SCHEMAS = {
     "par_scaling": (
         {"scale", "seed", "repeats", "priority", "records"},
         {"graph", "algorithm", "threads", "wall_ms", "speedup",
-         "busy_max_over_mean", "steal_hits", "colors", "seq_colors"},
+         "busy_max_over_mean", "colors", "seq_colors"},
     ),
     "shard": (
         {"scale", "seed", "workers", "max_rounds", "records"},
