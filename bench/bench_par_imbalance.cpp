@@ -5,7 +5,8 @@
 // counts). Reports coloring wall time, reorder overhead, per-worker
 // busy-time skew (max/mean and CV), and the wall-clock ratio against the
 // natural-order/vertex-chunked/hub-off baseline (win_vs_base > 1 means
-// the configuration colors faster).
+// the configuration colors faster). jpl ignores schedule and hub, so it
+// sweeps order alone against its natural-order run.
 //
 //   bench_par_imbalance [--scale S] [--seed N] [--threads N] [--repeats 3]
 //                       [--orders natural,degree-desc,rcm]
@@ -18,6 +19,7 @@
 // skew. The order axis can win on both graphs (locality does not need
 // skew).
 #include <cmath>
+#include <span>
 #include <sstream>
 
 #include "bench_common.hpp"
@@ -105,9 +107,14 @@ int main(int argc, char** argv) {
     }
     for (par::ParAlgorithm algo :
          {par::ParAlgorithm::kSpeculative, par::ParAlgorithm::kJpl}) {
+      // jpl ignores schedule and hub, so it sweeps order alone; its rows
+      // name those axes "n/a".
+      const bool swept = algo == par::ParAlgorithm::kSpeculative;
+      const std::span<const Config> algo_configs(
+          configs, swept ? std::size(configs) : std::size_t{1});
       double base_ms = 0.0;
       for (const Order order : orders) {
-        for (const Config& cfg : configs) {
+        for (const Config& cfg : algo_configs) {
           par::ParOptions opts;
           opts.seed = env.seed;
           opts.order = order;
@@ -127,18 +134,20 @@ int main(int argc, char** argv) {
             base_ms = run.wall_ms;
           }
           const double win = run.wall_ms > 0.0 ? base_ms / run.wall_ms : 1.0;
+          const char* schedule =
+              swept ? par::schedule_name(cfg.schedule) : "n/a";
+          const char* hub = swept ? cfg.hub_name : "n/a";
 
           table.add_row({g.name, par_algorithm_name(algo), order_name(order),
-                         par::schedule_name(cfg.schedule), cfg.hub_name,
-                         run.wall_ms, run.reorder_ms,
+                         schedule, hub, run.wall_ms, run.reorder_ms,
                          run.imbalance.cu_max_over_mean, run.imbalance.cu_cv,
                          static_cast<std::int64_t>(run.num_colors), win});
           records.push_back(svc::JsonObject{
               {"graph", g.name},
               {"algorithm", par_algorithm_name(algo)},
               {"order", order_name(order)},
-              {"schedule", par::schedule_name(cfg.schedule)},
-              {"hub", cfg.hub_name},
+              {"schedule", schedule},
+              {"hub", hub},
               {"threads", threads},
               {"wall_ms", run.wall_ms},
               {"reorder_ms", run.reorder_ms},

@@ -11,6 +11,10 @@
 //   v2_mmap_second_open  same file again (page cache)  ~free
 //   v2_mmap_warmup       explicit page-touch of both sections
 //
+// Admission: the registry runs check::validate_csr once per load, so
+// validate_ms times that full check on the heap graph and on the mapped
+// view, beside the load it follows.
+//
 // Steady state: one JPL run (deterministic, so heap and mapped do the
 // same work) on the heap copy vs the mapped view.
 //
@@ -24,6 +28,7 @@
 
 #include "bench_common.hpp"
 #include "bench_json.hpp"
+#include "check/csr.hpp"
 #include "graph/io/io.hpp"
 #include "par/runner.hpp"
 #include "store/mapped_graph.hpp"
@@ -94,6 +99,11 @@ int main(int argc, char** argv) {
   const double warmup_ms = time_ms([&] { (void)mg->warmup(); });
   const double residency = mg->residency().ratio();
 
+  const double heap_validate_ms = best_time_ms(
+      repeats, [&] { (void)check::validate_csr(g); });
+  const double mapped_validate_ms = best_time_ms(
+      repeats, [&] { (void)check::validate_csr(mg->graph()); });
+
   const double heap_color_ms = [&] {
     double best = 0.0;
     for (int r = 0; r < repeats; ++r) {
@@ -127,6 +137,8 @@ int main(int argc, char** argv) {
                                   {"v2_mmap_first_open", mmap_first_ms},
                                   {"v2_mmap_second_open", mmap_second_ms},
                                   {"v2_mmap_warmup", warmup_ms}}},
+      {"validate_ms", svc::JsonObject{{"heap", heap_validate_ms},
+                                      {"mapped", mapped_validate_ms}}},
       {"steady_state", svc::JsonObject{{"algorithm", "jpl"},
                                        {"threads", threads},
                                        {"repeats", repeats},

@@ -2,10 +2,36 @@
 
 #include <algorithm>
 #include <sstream>
+#include <vector>
 
 #include "util/narrow.hpp"
 
 namespace gcg::check {
+
+namespace {
+
+/// O(n + m) symmetry accept test for ascending rows that already passed
+/// the range checks. Walking u upward, the arcs into v arrive in
+/// ascending u, so each must be the next unmatched entry of row v;
+/// cursor[v] marks that entry. A pass proves every arc u->v has a mate
+/// in row v. (The m arcs then consumed all m entries, so every cursor
+/// ends at its row end without a final sweep.) A fail proves nothing (a
+/// duplicate arc can fail the walk yet still have a mate), so the caller
+/// then runs the per-arc search, which alone decides and reports.
+bool symmetric_by_cursor_walk(std::span<const eid_t> rows,
+                              std::span<const vid_t> cols, vid_t n) {
+  std::vector<eid_t> cursor(rows.begin(), rows.end() - 1);
+  for (vid_t u = 0; u < n; ++u) {
+    for (eid_t k = rows[u]; k < rows[u + 1]; ++k) {
+      const vid_t v = cols[k];
+      if (cursor[v] == rows[v + 1] || cols[cursor[v]] != u) return false;
+      ++cursor[v];
+    }
+  }
+  return true;
+}
+
+}  // namespace
 
 const char* csr_defect_name(CsrDefect d) {
   switch (d) {
@@ -105,7 +131,8 @@ std::optional<CsrIssue> validate_csr(std::span<const eid_t> rows,
     }
   }
 
-  if (opts.require_symmetric) {
+  if (opts.require_symmetric &&
+      !(opts.require_sorted && symmetric_by_cursor_walk(rows, cols, n))) {
     for (vid_t u = 0; u < n; ++u) {
       for (eid_t k = rows[u]; k < rows[u + 1]; ++k) {
         const vid_t v = cols[k];

@@ -153,12 +153,13 @@ std::string GraphRegistry::canonical_key(const std::string& spec) {
   return canon.string();
 }
 
-std::shared_ptr<const Csr> GraphRegistry::acquire(const std::string& spec,
-                                                  bool* cache_hit) {
+std::shared_ptr<const Csr> GraphRegistry::acquire(
+    const std::string& spec, bool* cache_hit,
+    std::optional<check::CsrIssue>* issue) {
   const std::string key = canonical_key(spec);
 
-  std::shared_future<std::shared_ptr<const Csr>> fut;
-  std::promise<std::shared_ptr<const Csr>> promise;
+  std::shared_future<Resident> fut;
+  std::promise<Resident> promise;
   bool loader = false;
   {
     sync::LockGuard lock(mu_);
@@ -180,11 +181,15 @@ std::shared_ptr<const Csr> GraphRegistry::acquire(const std::string& spec,
   }
 
   if (cache_hit) *cache_hit = !loader;
-  if (!loader) return fut.get();  // may rethrow the loader's exception
+  if (!loader) {
+    const Resident& r = fut.get();  // may rethrow the loader's exception
+    if (issue) *issue = r.issue;
+    return r.graph;
+  }
 
-  // Load outside the lock so a slow parse/generate never stalls hits on
-  // other graphs.
-  std::shared_ptr<const Csr> graph;
+  // Load and validate outside the lock so a slow parse/generate never
+  // stalls hits on other graphs.
+  Resident loaded;
   std::size_t charge = 0;
   bool mapped = false;
   try {
@@ -197,7 +202,7 @@ std::shared_ptr<const Csr> GraphRegistry::acquire(const std::string& spec,
       if (g.order != Order::kNatural) {
         generated = reorder(generated, g.order, g.seed);
       }
-      graph = std::make_shared<const Csr>(std::move(generated));
+      loaded.graph = std::make_shared<const Csr>(std::move(generated));
     } else if (opts_.mmap_store && has_gbin_extension(key) &&
                store::is_gbin_v2_file(key)) {
       // Zero-copy path: the cached shared_ptr aliases the MappedGraph's
@@ -207,10 +212,11 @@ std::shared_ptr<const Csr> GraphRegistry::acquire(const std::string& spec,
       auto mg = store::MappedGraph::open(key, opts_.store);
       mapped = mg->is_mapped();
       charge = mg->file_bytes();
-      graph = store::graph_view(std::move(mg));
+      loaded.graph = store::graph_view(std::move(mg));
     } else {
-      graph = std::make_shared<const Csr>(load_graph(key));
+      loaded.graph = std::make_shared<const Csr>(load_graph(key));
     }
+    loaded.issue = check::validate_csr(*loaded.graph);
   } catch (...) {
     {
       sync::LockGuard lock(mu_);
@@ -228,15 +234,18 @@ std::shared_ptr<const Csr> GraphRegistry::acquire(const std::string& spec,
 
   {
     sync::LockGuard lock(mu_);
+    ++stats_.validations;
     auto it = entries_.find(key);
     if (it != entries_.end()) {  // may have been clear()ed meanwhile
-      it->second.bytes = mapped ? charge : graph_bytes(*graph);
+      it->second.bytes = mapped ? charge : graph_bytes(*loaded.graph);
       it->second.mapped = mapped;
       it->second.ready = true;
       evict_to_capacity();
     }
   }
-  promise.set_value(graph);
+  if (issue) *issue = loaded.issue;
+  std::shared_ptr<const Csr> graph = loaded.graph;
+  promise.set_value(std::move(loaded));
   return graph;
 }
 

@@ -11,6 +11,15 @@
 // Entries are handed out as shared_ptr<const Csr>, so eviction never
 // invalidates a graph a running job still holds.
 //
+// Admission validation: the loader runs check::validate_csr once per
+// load, outside the lock, and the entry keeps the verdict beside the
+// graph. Every acquire of a resident entry hands back that verdict, so
+// an O(n + m) check is paid once per residency, not once per job. This
+// is sound because a resident graph never changes: heap graphs are
+// const, and a served file must be replaced (the store writer uses temp
+// file + rename), never rewritten in place. The verdict is never read
+// from the file itself: its FNV-1a checksums are not a signature.
+//
 // Store integration: a path carrying the .gbin v2 magic is opened
 // through store::MappedGraph and served as a zero-copy Csr view off the
 // page cache. Mapped entries are charged their FILE size against their
@@ -24,8 +33,10 @@
 #include <list>
 #include <map>
 #include <memory>
+#include <optional>
 #include <string>
 
+#include "check/csr.hpp"
 #include "graph/csr.hpp"
 #include "store/mapped_graph.hpp"
 #include "util/sync.hpp"
@@ -57,6 +68,7 @@ class GraphRegistry {
     std::uint64_t misses = 0;    ///< required a load/generate
     std::uint64_t evictions = 0;
     std::uint64_t load_errors = 0;
+    std::uint64_t validations = 0;  ///< admission validate_csr runs
     std::size_t entries = 0;     ///< resident graphs right now
     std::size_t bytes = 0;       ///< resident heap CSR bytes (heap entries)
     std::size_t mapped_entries = 0;  ///< of `entries`, served off mmap
@@ -72,9 +84,12 @@ class GraphRegistry {
   /// or unreadable files; a failed load is not cached, so a later retry
   /// (e.g. after the file appears) attempts again. When `cache_hit` is
   /// non-null it reports whether this call was served from cache (resident
-  /// entry or joining an in-flight load).
-  std::shared_ptr<const Csr> acquire(const std::string& spec,
-                                     bool* cache_hit = nullptr);
+  /// entry or joining an in-flight load). When `issue` is non-null it
+  /// receives the admission verdict: check::validate_csr's first defect,
+  /// or nullopt for a well-formed graph.
+  std::shared_ptr<const Csr> acquire(
+      const std::string& spec, bool* cache_hit = nullptr,
+      std::optional<check::CsrIssue>* issue = nullptr);
 
   /// The cache key `spec` normalizes to: weakly-canonical absolute path
   /// for files, defaults filled in and parameters ordered for gen: specs.
@@ -87,10 +102,16 @@ class GraphRegistry {
  private:
   using Lru = std::list<std::string>;  // front = most recent
 
+  /// A loaded graph and its admission verdict.
+  struct Resident {
+    std::shared_ptr<const Csr> graph;
+    std::optional<check::CsrIssue> issue;
+  };
+
   struct Entry {
     /// Resolves to the graph; carries the load exception on failure.
     /// shared_future so any number of waiters can join one load.
-    std::shared_future<std::shared_ptr<const Csr>> future;
+    std::shared_future<Resident> future;
     std::size_t bytes = 0;    ///< LRU charge: heap bytes, or file bytes
                               ///< for mapped entries. 0 until loaded.
     bool mapped = false;      ///< charge counts against max_mapped_bytes

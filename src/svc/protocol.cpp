@@ -415,6 +415,7 @@ Json stats_reply(const SchedulerStats& s) {
   reg["misses"] = Json(s.registry.misses);
   reg["evictions"] = Json(s.registry.evictions);
   reg["load_errors"] = Json(s.registry.load_errors);
+  reg["validations"] = Json(s.registry.validations);
   reg["entries"] = count_json(s.registry.entries);
   reg["bytes"] = count_json(s.registry.bytes);
   reg["mapped_entries"] =

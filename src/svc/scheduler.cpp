@@ -210,10 +210,12 @@ void Scheduler::run_batch(par::ThreadPool& pool,
   }
 
   std::shared_ptr<const Csr> graph;
+  std::optional<check::CsrIssue> graph_issue;
   bool cache_hit = false;
   std::string load_error;
   try {
-    graph = registry_.acquire(batch.front()->graph_key, &cache_hit);
+    graph = registry_.acquire(batch.front()->graph_key, &cache_hit,
+                              &graph_issue);
   } catch (const std::exception& e) {
     load_error = e.what();
   }
@@ -227,13 +229,14 @@ void Scheduler::run_batch(par::ThreadPool& pool,
     }
     // Every job after the first in a batch is a cache hit by construction:
     // the batch exists because the graph was already resident.
-    run_one(pool, job, graph, cache_hit || !first);
+    run_one(pool, job, graph, graph_issue, cache_hit || !first);
     first = false;
   }
 }
 
 void Scheduler::run_one(par::ThreadPool& pool, const JobPtr& job,
                         const std::shared_ptr<const Csr>& graph,
+                        const std::optional<check::CsrIssue>& graph_issue,
                         bool cache_hit) {
   const Clock::time_point dispatched = Clock::now();
   const bool has_deadline = job->spec.deadline_ms > 0.0;
@@ -264,15 +267,14 @@ void Scheduler::run_one(par::ThreadPool& pool, const JobPtr& job,
   result.mapped = graph->is_view();  // zero-copy: served off the mmap store
 
   try {
-    if (opts_.verify) {
-      // A malformed graph would make every downstream "valid coloring"
-      // claim meaningless, so the certificate check starts at the input.
-      if (const auto issue = check::validate_csr(*graph)) {
-        JobResult r = std::move(result);
-        r.error = "invalid_graph: " + issue->to_string();
-        finish(job, JobStatus::kFailed, std::move(r));
-        return;
-      }
+    // A malformed graph would make every downstream "valid coloring"
+    // claim meaningless, so the certificate check starts at the input.
+    // The registry validated this graph once, when it was admitted.
+    if (opts_.verify && graph_issue) {
+      JobResult r = std::move(result);
+      r.error = "invalid_graph: " + graph_issue->to_string();
+      finish(job, JobStatus::kFailed, std::move(r));
+      return;
     }
     const PriorityMode prio = priority_mode_from_name(job->spec.priority);
     std::vector<color_t> colors;

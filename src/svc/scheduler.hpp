@@ -132,7 +132,9 @@ class Scheduler {
   void dispatcher_loop(unsigned index);
   void run_batch(par::ThreadPool& pool, const std::vector<JobPtr>& batch);
   void run_one(par::ThreadPool& pool, const JobPtr& job,
-               const std::shared_ptr<const Csr>& graph, bool cache_hit);
+               const std::shared_ptr<const Csr>& graph,
+               const std::optional<check::CsrIssue>& graph_issue,
+               bool cache_hit);
   void finish(const JobPtr& job, JobStatus status, JobResult result);
   void fail_terminal(const JobPtr& job, JobStatus status,
                      const std::string& error);

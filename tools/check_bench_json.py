@@ -37,8 +37,8 @@ SCHEMAS = {
          "conflict_rounds", "recolored", "colors", "par_colors", "wall_ms"},
     ),
     "store_load": (
-        {"graph", "file_bytes", "load_ms", "steady_state", "mapped",
-         "residency_after_warmup"},
+        {"graph", "file_bytes", "load_ms", "validate_ms", "steady_state",
+         "mapped", "residency_after_warmup"},
         None,
     ),
 }
@@ -52,6 +52,7 @@ SECTIONS = {
         "file_bytes": {"mtx", "v1", "v2"},
         "load_ms": {"parse_mtx", "v1_heap", "v2_heap", "v2_mmap_first_open",
                     "v2_mmap_second_open", "v2_mmap_warmup"},
+        "validate_ms": {"heap", "mapped"},
         "steady_state": {"algorithm", "threads", "repeats", "heap_color_ms",
                          "mapped_color_ms"},
     },
