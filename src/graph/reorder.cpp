@@ -4,7 +4,6 @@
 #include <numeric>
 #include <stdexcept>
 
-#include "graph/builder.hpp"
 #include "util/expect.hpp"
 #include "util/narrow.hpp"
 #include "util/rng.hpp"
@@ -94,13 +93,22 @@ std::vector<vid_t> make_order(const Csr& g, Order o, std::uint64_t seed) {
     }
     case Order::kDegreeDescending:
     case Order::kDegreeAscending: {
-      std::vector<vid_t> visit(n);
-      std::iota(visit.begin(), visit.end(), vid_t{0});
+      // Stable counting sort on degree, O(n + max_degree): each degree
+      // class gets a block of new ids, and within a class ascending old
+      // ids take ascending new ids, as a stable comparison sort would.
       const bool desc = (o == Order::kDegreeDescending);
-      std::stable_sort(visit.begin(), visit.end(), [&](vid_t a, vid_t b) {
-        return desc ? g.degree(a) > g.degree(b) : g.degree(a) < g.degree(b);
-      });
-      return visit_to_perm(visit);
+      const vid_t max_degree = g.max_degree();
+      std::vector<vid_t> next(std::size_t{max_degree} + 1, 0);
+      for (vid_t v = 0; v < n; ++v) ++next[g.degree(v)];
+      vid_t placed = 0;
+      for (std::size_t i = 0; i < next.size(); ++i) {
+        vid_t& slot = next[desc ? max_degree - i : i];
+        const vid_t count = slot;
+        slot = placed;
+        placed += count;
+      }
+      for (vid_t v = 0; v < n; ++v) perm[v] = next[g.degree(v)]++;
+      return perm;
     }
     case Order::kBfs:
       return visit_to_perm(bfs_visit_order(g, /*sort_by_degree=*/false));
@@ -114,31 +122,45 @@ std::vector<vid_t> make_order(const Csr& g, Order o, std::uint64_t seed) {
   return perm;
 }
 
-bool is_permutation(const std::vector<vid_t>& perm, vid_t n) {
+namespace {
+
+/// Fills inv with the inverse of perm (inv[perm[v]] = v). Returns false,
+/// leaving inv unspecified, if perm is not a permutation of [0, n).
+bool invert_permutation(const std::vector<vid_t>& perm, vid_t n,
+                        std::vector<vid_t>& inv) {
   if (perm.size() != n) return false;
-  std::vector<bool> seen(n, false);
-  for (vid_t p : perm) {
-    if (p >= n || seen[p]) return false;
-    seen[p] = true;
+  inv.assign(n, n);  // n marks a new id that no old id has claimed yet
+  for (vid_t v = 0; v < n; ++v) {
+    const vid_t p = perm[v];
+    if (p >= n || inv[p] != n) return false;
+    inv[p] = v;
   }
   return true;
 }
 
+}  // namespace
+
+bool is_permutation(const std::vector<vid_t>& perm, vid_t n) {
+  std::vector<vid_t> inv;
+  return invert_permutation(perm, n, inv);
+}
+
 Csr apply_order(const Csr& g, const std::vector<vid_t>& perm) {
   const vid_t n = g.num_vertices();
-  GCG_EXPECT(is_permutation(perm, n));
-  // Build new CSR directly: degree of new id perm[v] = degree of v.
+  std::vector<vid_t> inv;
+  GCG_EXPECT(invert_permutation(perm, n, inv));
+  // Arc u->w becomes perm[w]->perm[u]: every arc is scattered into its
+  // target's row, sources visited in ascending new id, so each row fills
+  // in ascending order and none is sorted. Row sizes count the arcs the
+  // scatter writes, so every write stays inside its row for any input;
+  // on a symmetric graph they are the relabeled degrees.
   std::vector<eid_t> rows(std::size_t{n} + 1, 0);
-  for (vid_t v = 0; v < n; ++v) rows[perm[v] + 1] = g.degree(v);
+  for (vid_t w : g.col_indices()) ++rows[perm[w] + 1];
   for (std::size_t i = 1; i < rows.size(); ++i) rows[i] += rows[i - 1];
+  std::vector<eid_t> cursor(rows.begin(), rows.end() - 1);
   std::vector<vid_t> cols(g.num_arcs());
-  std::vector<vid_t> scratch;
-  for (vid_t v = 0; v < n; ++v) {
-    scratch.clear();
-    for (vid_t u : g.neighbors(v)) scratch.push_back(perm[u]);
-    std::sort(scratch.begin(), scratch.end());
-    std::copy(scratch.begin(), scratch.end(),
-              cols.begin() + to_signed(rows[perm[v]]));
+  for (vid_t x = 0; x < n; ++x) {
+    for (vid_t w : g.neighbors(inv[x])) cols[cursor[perm[w]]++] = x;
   }
   return Csr(std::move(rows), std::move(cols));
 }

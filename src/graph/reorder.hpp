@@ -24,11 +24,20 @@ const char* order_name(Order o);
 /// Parses the names produced by order_name; throws on unknown input.
 Order order_from_name(const std::string& name);
 
-/// Returns perm where perm[old_id] = new_id.
+/// Returns perm where perm[old_id] = new_id. The degree orders are a
+/// stable counting sort, O(n + max_degree): equal degrees keep ascending
+/// old id.
 std::vector<vid_t> make_order(const Csr& g, Order o, std::uint64_t seed = 1);
 
-/// Relabels vertices: new graph has vertex perm[v] for old v.
-/// perm must be a permutation of [0, n).
+/// Relabels vertices: new graph has vertex perm[v] for old v, with every
+/// row sorted ascending. perm must be a permutation of [0, n). O(n + m),
+/// no sort, on the calling thread.
+///
+/// The rows are built by scattering each arc u->v into row perm[v], so
+/// the result is the relabeled TRANSPOSE. For the symmetric graphs the
+/// Csr contract describes that is the relabeled graph itself. An
+/// asymmetric input (reachable unvalidated, e.g. a raw .gbin) still
+/// yields a structurally valid CSR: row sizes are in-degrees.
 Csr apply_order(const Csr& g, const std::vector<vid_t>& perm);
 
 /// Convenience: make_order + apply_order.

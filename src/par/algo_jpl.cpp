@@ -3,7 +3,8 @@
 // order; the vertices with none form round 1. In each round every ready
 // vertex commits first-fit and then decrements the counts of its
 // lower-priority neighbours, and a vertex whose count reaches zero joins
-// the next round. Total work is O(n + m) with one pool barrier per round.
+// the next round. Total work is O(n + m), with one pool barrier per round
+// of at least kCallerRoundWork; smaller rounds run on the caller.
 //
 // This is the round-based JPL without the rescans: a vertex becomes ready
 // in exactly the round where it would have beaten every uncolored
@@ -24,6 +25,13 @@ namespace {
 /// Chunks per worker and round: enough for the shared chunk cursor to
 /// even out degree skew within a round.
 constexpr std::uint32_t kChunksPerWorker = 8;
+/// A round whose work (degree + 1 summed over its ready vertices) is
+/// below this runs on the calling thread: waking the pool and meeting at
+/// its barrier would cost more than the round itself. Work, not vertex
+/// count, so dense rounds of a few hundred vertices still go wide. Ready
+/// vertices of one round are never adjacent, so where a round runs
+/// changes neither the colors nor ParRun::iterations.
+constexpr std::uint64_t kCallerRoundWork = 4096;
 }  // namespace
 
 void run_jpl(DriverState& st) {
@@ -71,8 +79,7 @@ void run_jpl(DriverState& st) {
     GCG_ASSERT(st.run.iterations < st.opts.max_iterations);
     ++st.run.iterations;
     const std::uint32_t size = end - begin;
-    st.pool.parallel_for(size, grain(size), [&](std::uint32_t b,
-                                                std::uint32_t e, unsigned w) {
+    const auto commit = [&](std::uint32_t b, std::uint32_t e, unsigned w) {
       ParWorkerStats& ws = st.run.workers[w];
       BusyTimer timer(ws);
       std::vector<vid_t> released;
@@ -82,7 +89,8 @@ void run_jpl(DriverState& st) {
                     scratch[w].first_fit(g, st.colors, v, st.stamp_hint(v)));
         for (vid_t u : g.neighbors(v)) {
           // order: relaxed — exactly one decrement sees 1 and releases u;
-          // the barrier that ends the round publishes v's color to u.
+          // the pool barrier that ends the round (or program order, when
+          // the caller ran it) publishes v's color to u.
           if (priority_less(st.prio[u], u, st.prio[v], v) &&
               std::atomic_ref<std::uint32_t>(pending[u]).fetch_sub(
                   1, std::memory_order_relaxed) == 1) {
@@ -92,9 +100,19 @@ void run_jpl(DriverState& st) {
       }
       ws.vertices += e - b;
       append(released);
-    });
+    };
+    std::uint64_t work = 0;
+    for (std::uint32_t i = begin; i < end && work < kCallerRoundWork; ++i) {
+      work += std::uint64_t{g.degree(ready[i])} + 1;
+    }
+    if (work < kCallerRoundWork) {
+      commit(0, size, 0);  // the caller is worker 0
+    } else {
+      st.pool.parallel_for(size, grain(size), commit);
+    }
     begin = end;
-    // order: relaxed — read after the round's pool barrier.
+    // order: relaxed — read after the round's pool barrier, or on the
+    // caller that ran the round alone.
     end = app.counter.load(std::memory_order_relaxed);
   }
 }

@@ -162,6 +162,20 @@ TEST(JplOracleTest, MatchesPriorityOrderFirstFitOnGeneratorSuite) {
   }
 }
 
+TEST(JplOracleTest, MatchesWhenWideRoundsMeetCallerRounds) {
+  // Large enough that early rounds go to the pool, while the short tail
+  // rounds run on the caller: helpers must have colored some vertices.
+  const Csr g = make_suite_graph("er-like", {.scale = 0.3, .seed = 4}).graph;
+  expect_jpl_matches_oracle(g, "er-like@0.3");
+  const par::ParRun run =
+      par::run_par_coloring(g, par::ParAlgorithm::kJpl, opts_with(4, 9));
+  std::uint64_t helper_vertices = 0;
+  for (std::size_t w = 1; w < run.workers.size(); ++w) {
+    helper_vertices += run.workers[w].vertices;
+  }
+  EXPECT_GT(helper_vertices, 0u);
+}
+
 TEST(JplOracleTest, MatchesPriorityOrderFirstFitOnDegenerateShapes) {
   for (const Shape& s : degenerate_shapes()) {
     expect_jpl_matches_oracle(s.graph, s.name);
